@@ -3,70 +3,28 @@ spectral singularities, gain dispersion loci, and singular field profiles."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    C_0,
-    EPSILON_0,
-    MU_0,
-    Z_0,
-    GainMedium,
-    Polarization,
-    SlabScenario,
-    WaveSpec,
-    k_tilde,
-    n_prime,
-    n_tilde,
-    u_parameter,
-)
-from .dispersion import (
-    LocusPoint,
-    TwoLevelMedium,
-    central_mode_number,
-    dispersive_medium,
-    g0_from_kappa0,
-    index_squared,
-    kappa0_from_g0,
-    linearized_index,
-    omega_p_hat_sq_from_kappa0,
-    trace_locus,
-)
+from .core import GainMedium, Polarization, SlabScenario, WaveSpec
+from .dispersion import TwoLevelMedium, central_mode_number, trace_locus
 from .fields import (
-    FieldSample,
     SingularFieldContext,
     energy_density,
     energy_density_from_fields,
-    envelope_functions,
-    field_sample,
-    parity_report,
     poynting,
     poynting_angle_deg,
     poynting_from_fields,
-    singular_fields,
     tilde_theta_deg,
-    u_pm,
 )
 from .solver import (
     ConvergenceError,
-    SingularityPoint,
-    ThresholdCurve,
-    ThresholdSample,
-    brewster_angle,
     critical_angle,
-    reflection_ratio,
-    select_mode_number,
-    singularity_residual,
     solve_singularity,
-    ss_wavelength,
     threshold_curve,
     threshold_gain_approx,
     threshold_gain_at_kappa,
     threshold_gain_exact,
 )
 from .transfer import (
-    CoefficientSet,
-    ScatteringAmplitudes,
     SpectralSingularityError,
-    TransferMatrix,
-    boundary_residuals,
     build_transfer_matrix,
     general_fields,
     propagate_coefficients,

@@ -23,6 +23,7 @@ from .fields import (
     poynting_angle_deg,
 )
 from .solver import (
+    RESIDUAL_TOL,
     ConvergenceError,
     brewster_angle,
     solve_singularity,
@@ -89,7 +90,7 @@ def _metadata(args: argparse.Namespace) -> dict:
     params = {k: (v.value if isinstance(v, Polarization) else v)
               for k, v in params.items()}
     return {"artifact": "gainslab", "version": __version__,
-            "parameters": params, "residual_tol": 1e-10}
+            "parameters": params, "residual_tol": RESIDUAL_TOL}
 
 
 def cmd_tmatrix(args: argparse.Namespace) -> int:
@@ -165,8 +166,7 @@ def cmd_singularity(args: argparse.Namespace) -> int:
 
 
 def cmd_locus(args: argparse.Namespace) -> int:
-    medium = TwoLevelMedium(args.n0, args.lambda0, args.gamma_hat,
-                            g0_max=args.g0_max)
+    medium = TwoLevelMedium(args.n0, args.lambda0, args.gamma_hat)
     if args.m_min is not None and args.m_max is not None:
         m_values = range(args.m_min, args.m_max + 1)
     else:
@@ -215,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("tmatrix", help="transfer matrix and R/T amplitudes")
     p.add_argument("--eta", type=float, required=True)
@@ -226,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavelength", "--lambda", type=parse_length, required=True)
     p.add_argument("--L", type=parse_length, required=True)
     p.add_argument("--pol", type=parse_pol, required=True)
-    add_common(p)
+    add_out(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_tmatrix)
 
     p = sub.add_parser("threshold", help="threshold gain versus angle")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=89.5)
     p.add_argument("--steps", type=int, default=180)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("singularity", help="solve one spectral singularity")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--m", type=int)
     group.add_argument("--target", type=parse_length,
                        help="target wavelength; picks the first mode at or above it")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_singularity)
 
     p = sub.add_parser("locus", help="singularity locus with gain dispersion")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="modes around resonance when no explicit m range")
     p.add_argument("--g0-max", type=parse_gain,
                    help="drop locus points above this resonance gain")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("fields", help="singular-mode Poynting/energy profile")
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--m", type=int)
     group.add_argument("--target", type=parse_length)
     p.add_argument("--points", type=int, default=2001)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_fields)
 
     return parser

@@ -138,11 +138,6 @@ def u_parameter(medium: GainMedium, theta_deg: float,
     return u
 
 
-def n_tilde(medium: GainMedium, theta_deg: float) -> complex:
-    """Effective index n' / cos(theta); equals the TE u parameter."""
-    return u_parameter(medium, theta_deg, Polarization.TE)
-
-
 def k_tilde(medium: GainMedium, wave: WaveSpec) -> complex:
     """Longitudinal wavenumber inside the slab, k * sqrt(n^2 - sin^2(theta))."""
     return wave.k * n_prime(medium, wave.theta_deg)

@@ -29,7 +29,6 @@ class TwoLevelMedium:
     n0: float                 # host real index
     lambda0: float            # resonance wavelength, m
     gamma_hat: float          # damping / resonance frequency
-    g0_max: float | None = None   # attainable-gain bound, 1/m (metadata)
 
     def __post_init__(self) -> None:
         if self.n0 < 1:

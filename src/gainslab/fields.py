@@ -6,12 +6,7 @@ is carried by the envelope pair
 
     U_pm(u, s) = [ (u-1)^(1-s) (u+1)^s +- (u-1)^s (u+1)^(1-s) ] / 2,
 
-with s = z/L and principal complex powers.  Note that the piecewise
-F_minus envelope is discontinuous at z = 0 (outside limit +1, inside
-limit -1); the sign is a bookkeeping artifact of factoring region
-prefactors out of the physical fields, whose tangential components are
-continuous in the general (non-singular) assembly.  See the module tests
-for both facts.
+with s = z/L and principal complex powers.
 """
 
 from __future__ import annotations
@@ -21,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPSILON_0, MU_0, Polarization, SlabScenario, Z_0, n_tilde
+from .core import EPSILON_0, MU_0, Polarization, SlabScenario, Z_0, u_parameter
 from .solver import SingularityPoint
+from .transfer import assemble_fields
 
 
 @dataclass(frozen=True)
@@ -41,34 +37,6 @@ class SingularFieldContext:
         return self.point.thickness
 
     @property
-    def n(self) -> complex:
-        return self.point.medium.n
-
-    @property
-    def n_tilde(self) -> complex:
-        return n_tilde(self.point.medium, self.point.theta_deg)
-
-    @property
-    def u(self) -> complex:
-        """n_tilde for TE, n_tilde/n^2 for TM."""
-        if self.point.polarization is Polarization.TE:
-            return self.n_tilde
-        return self.n_tilde / self.n ** 2
-
-    @property
-    def k_z(self) -> float:
-        return self.point.wave.k_z
-
-    @property
-    def k_x(self) -> float:
-        return self.point.wave.k_x
-
-    @property
-    def a2(self) -> complex:
-        """Right-going exterior amplitude, e^{-i k_z L} b0."""
-        return np.exp(-1j * self.k_z * self.thickness) * self.b0
-
-    @property
     def poynting_out(self) -> float:
         """|<S>| outside the slab."""
         if self.point.polarization is Polarization.TE:
@@ -81,16 +49,6 @@ class SingularFieldContext:
         if self.point.polarization is Polarization.TE:
             return EPSILON_0 * abs(self.b0) ** 2 / 2.0
         return MU_0 * abs(self.b0) ** 2 / 2.0
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    x: float
-    z: float
-    E: np.ndarray        # complex (3,), V/m
-    H: np.ndarray        # complex (3,), A/m
-    S: np.ndarray        # real (3,), W/m^2
-    u: float             # J/m^3
 
 
 def u_pm(u: complex, s, sign: int):
@@ -109,67 +67,42 @@ def u_pm(u: complex, s, sign: int):
     return 0.5 * (first + sign * second)
 
 
-def envelope_functions(u: complex, ntil: complex, z, thickness: float,
-                       k_z: float):
-    """Piecewise envelopes (F_plus, F_minus, G_plus) on the whole z axis.
-
-    Outside the slab all three reduce to the same outgoing phases; inside
-    they are U_+/u, U_-, and U_+/n_tilde respectively.  F_minus carries a
-    sign jump at z = 0 (see module docstring).
-    """
-    z = np.asarray(z, dtype=float)
-    left = z < 0
-    right = z > thickness
-    inside = ~(left | right)
-    s = np.where(inside, z / thickness, 0.0)
-    phase = np.where(left,
-                     np.exp(-1j * k_z * z),
-                     np.exp(1j * k_z * (z - thickness)))
-    up_in = u_pm(u, s, +1)
-    um_in = u_pm(u, s, -1)
-    f_plus = np.where(inside, up_in / u, phase)
-    f_minus = np.where(inside, um_in, phase)
-    g_plus = np.where(inside, up_in / ntil, phase)
-    return f_plus, f_minus, g_plus
-
-
 def singular_fields(ctx: SingularFieldContext, x, z):
-    """Complex E and H three-vectors of the singular wave, shape (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    f_plus, f_minus, _g_plus = envelope_functions(
-        ctx.u, ctx.n_tilde, z, ctx.thickness, ctx.k_z)
-    phase_x = np.exp(1j * ctx.k_x * x)
-    th = math.radians(ctx.point.theta_deg)
-    sin_t, cos_t = math.sin(th), math.cos(th)
-    b0 = ctx.b0
+    """Complex E and H three-vectors of the singular wave, shape (..., 3).
 
-    shape = np.broadcast_shapes(f_plus.shape, phase_x.shape)
-    E = np.zeros(shape + (3,), dtype=complex)
-    H = np.zeros(shape + (3,), dtype=complex)
-    if ctx.point.polarization is Polarization.TE:
-        E[..., 1] = b0 * phase_x * f_plus
-        H[..., 0] = -(b0 * cos_t / Z_0) * phase_x * f_minus
-        H[..., 2] = (b0 * sin_t / Z_0) * phase_x * f_plus
-    else:
-        E[..., 0] = b0 * Z_0 * cos_t * phase_x * f_minus
-        E[..., 2] = -b0 * Z_0 * sin_t * phase_x * _g_plus
-        H[..., 1] = b0 * phase_x * f_plus
-    return E, H
+    The profile pair is b0 (U_+, U_-)/u inside the slab and the outgoing
+    wave outside: b0 e^{-i k_z z} (odd part negated) on the left and
+    b0 e^{i k_z (z - L)} on the right.
+    """
+    point = ctx.point
+    wave = point.wave
+    L = point.thickness
+    z = np.asarray(z, dtype=float)
+    u = u_parameter(point.medium, point.theta_deg, point.polarization)
+    left = z < 0
+    inside = (z >= 0) & (z <= L)
+    s = np.where(inside, z / L, 0.0)
+    out = ctx.b0 * np.where(left, np.exp(-1j * wave.k_z * z),
+                            np.exp(1j * wave.k_z * (z - L)))
+    psi = np.where(inside, ctx.b0 * u_pm(u, s, +1) / u, out)
+    psi_odd = np.where(inside, ctx.b0 * u_pm(u, s, -1) / u,
+                       np.where(left, -out, out))
+    return assemble_fields(ctx.scenario, wave, psi, psi_odd, x, z)
 
 
 def _interior_coefficients(ctx: SingularFieldContext, z):
     """X(z), Z(z), U(z) on 0 <= z <= L for the closed-form S and u."""
+    point = ctx.point
     s = np.asarray(z, dtype=float) / ctx.thickness
-    u = ctx.u
-    ntil = ctx.n_tilde
+    u = u_parameter(point.medium, point.theta_deg, point.polarization)
+    ntil = u_parameter(point.medium, point.theta_deg, Polarization.TE)
     up = u_pm(u, s, +1)
     um = u_pm(u, s, -1)
-    th = math.radians(ctx.point.theta_deg)
+    th = math.radians(point.theta_deg)
     sin2, cos2 = math.sin(th) ** 2, math.cos(th) ** 2
-    n2 = ctx.n ** 2
+    n2 = point.medium.n ** 2
     abs_ntil2 = abs(ntil) ** 2
-    if ctx.point.polarization is Polarization.TE:
+    if point.polarization is Polarization.TE:
         coef_x = np.abs(up / ntil) ** 2
         coef_z = np.real(up * np.conj(um) / ntil)
         coef_u = ((n2.real + sin2) * np.abs(up) ** 2
@@ -191,8 +124,7 @@ def poynting(ctx: SingularFieldContext, z) -> np.ndarray:
     left = z < 0
     right = z > ctx.thickness
     inside = ~(left | right)
-    coef_x, coef_z, _ = _interior_coefficients(
-        ctx, np.where(inside, z, 0.0))
+    coef_x, coef_z, _ = _interior_coefficients(ctx, np.where(inside, z, 0.0))
     sx = np.where(inside, coef_x * sin_t, sin_t)
     sz = np.where(inside, coef_z * cos_t, np.where(left, -cos_t, cos_t))
     out = np.zeros(z.shape + (3,), dtype=float)
@@ -211,8 +143,8 @@ def poynting_angle_deg(ctx: SingularFieldContext, z):
 def tilde_theta_deg(ctx: SingularFieldContext) -> float:
     """TM boundary emission angle inside the slab, arctan(tan(theta) Re(n^2)/|n|^4)."""
     th = math.radians(ctx.point.theta_deg)
-    n2 = ctx.n ** 2
-    return math.degrees(math.atan(math.tan(th) * n2.real / abs(ctx.n) ** 4))
+    n = ctx.point.medium.n
+    return math.degrees(math.atan(math.tan(th) * (n ** 2).real / abs(n) ** 4))
 
 
 def energy_density(ctx: SingularFieldContext, z):
@@ -237,27 +169,3 @@ def energy_density_from_fields(ctx: SingularFieldContext, x, z):
     return 0.25 * (EPSILON_0 * np.real(zeta)
                    * np.sum(np.abs(E) ** 2, axis=-1)
                    + MU_0 * np.sum(np.abs(H) ** 2, axis=-1))
-
-
-def field_sample(ctx: SingularFieldContext, x: float, z: float) -> FieldSample:
-    """One fully assembled sample of the singular wave."""
-    E, H = singular_fields(ctx, x, z)
-    return FieldSample(
-        x=x, z=z, E=E, H=H,
-        S=poynting(ctx, np.atleast_1d(z))[0],
-        u=float(energy_density(ctx, z)),
-    )
-
-
-def parity_report(ctx: SingularFieldContext, z_grid) -> dict[str, float]:
-    """Max asymmetry of X, Z, U under z -> L - z over the given interior grid."""
-    z = np.asarray(z_grid, dtype=float)
-    if np.any((z < 0) | (z > ctx.thickness)):
-        raise ValueError("parity grid must lie inside the slab")
-    x1, z1, u1 = _interior_coefficients(ctx, z)
-    x2, z2, u2 = _interior_coefficients(ctx, ctx.thickness - z)
-    return {
-        "max_x_asymmetry": float(np.max(np.abs(x1 - x2))),
-        "max_z_antisymmetry": float(np.max(np.abs(z1 + z2))),
-        "max_u_asymmetry": float(np.max(np.abs(u1 - u2))),
-    }

@@ -32,6 +32,8 @@ from .transfer import build_transfer_matrix
 
 KAPPA_BRACKET = (-0.1, -1e-12)   # covers physical gain media (|kappa| <~ 1e-2)
 RESIDUAL_TOL = 1e-10
+# the TM leading-order gain formula is singular at Brewster's angle
+BREWSTER_GUARD_DEG = 0.1
 
 
 class ConvergenceError(RuntimeError):
@@ -130,9 +132,7 @@ def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
 
 def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
                          target_wavelength: float,
-                         polarization: Polarization,
-                         bracket: tuple[float, float] = KAPPA_BRACKET
-                         ) -> tuple[float, float]:
+                         polarization: Polarization) -> tuple[float, float]:
     """Solve the modulus condition at k = 2 pi / target_wavelength for kappa.
 
     Returns (kappa, g).  This is the fixed-wavelength curve generator: only
@@ -146,7 +146,7 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
         return _modulus_wavenumber(eta, kappa, theta_deg, thickness,
                                    polarization) - k_target
 
-    lo, hi = min(bracket), max(bracket)
+    lo, hi = KAPPA_BRACKET
     # f -> +inf as kappa -> 0-, so scan down in |kappa| for the sign change
     grid = -np.logspace(math.log10(-hi), math.log10(-lo), 200)
     prev_k, prev_f = grid[0], f(grid[0])
@@ -168,8 +168,7 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
 
 
 def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
-                          polarization: Polarization,
-                          brewster_guard_deg: float = 0.1) -> float:
+                          polarization: Polarization) -> float:
     """Leading-order (kappa-independent) threshold gain formulas.
 
     For real eta and theta, conjugating n conjugates n' and r, so the exact
@@ -183,10 +182,10 @@ def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
     if polarization is Polarization.TE:
         return (4.0 * etap / (thickness * eta)) * math.log(
             abs(etap + math.cos(th)) / math.sqrt(eta * eta - 1.0))
-    if abs(theta_deg - brewster_angle(eta)) < brewster_guard_deg:
+    if abs(theta_deg - brewster_angle(eta)) < BREWSTER_GUARD_DEG:
         raise ValueError(
             "TM leading-order formula is singular within "
-            f"{brewster_guard_deg} deg of Brewster's angle"
+            f"{BREWSTER_GUARD_DEG} deg of Brewster's angle"
         )
     e2c = eta * eta * math.cos(th)
     return (2.0 * etap / (thickness * eta)) * math.log(
@@ -281,8 +280,8 @@ def select_mode_number(eta: float, theta_deg: float, thickness: float,
 def solve_singularity(eta: float, theta_deg: float, thickness: float,
                       polarization: Polarization,
                       m: int | None = None,
-                      target_wavelength: float | None = None,
-                      max_iter: int = 50) -> SingularityPoint:
+                      target_wavelength: float | None = None
+                      ) -> SingularityPoint:
     """Solve the full complex singularity condition for (wavelength, kappa).
 
     Either a mode number m or a target wavelength must be given; with a
@@ -323,7 +322,7 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
         return [res.real, res.imag]
 
     sol = root(fun, [1.0, 1.0], method="hybr",
-               options={"xtol": 1e-14, "maxfev": max_iter * 4})
+               options={"xtol": 1e-14, "maxfev": 200})
     lam, kappa = lam0 * sol.x[0], kap0 * sol.x[1]
 
     medium = GainMedium(eta, kappa)

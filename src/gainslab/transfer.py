@@ -27,6 +27,8 @@ from .core import (
 
 # hyperbolic growth of cos/sin overflows double precision past this phase
 _MAX_IMAG_PHASE = 700.0
+# |M22| below this fraction of the largest entry counts as a spectral singularity
+SINGULAR_TOL = 1e-12
 
 
 class SpectralSingularityError(RuntimeError):
@@ -48,9 +50,6 @@ class TransferMatrix:
     def scale(self) -> float:
         """Magnitude of the largest entry, floored at 1; reference for tolerances."""
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22), 1.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
 
 @dataclass(frozen=True)
@@ -96,14 +95,14 @@ def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMat
     )
 
 
-def scattering_amplitudes(matrix: TransferMatrix,
-                          tol: float = 1e-12) -> ScatteringAmplitudes:
+def scattering_amplitudes(matrix: TransferMatrix) -> ScatteringAmplitudes:
     """Reflection/transmission amplitudes from the matrix entries.
 
-    Raises SpectralSingularityError when |M22| < tol * scale, i.e. the system
-    is at (or numerically indistinguishable from) a spectral singularity.
+    Raises SpectralSingularityError when |M22| < SINGULAR_TOL * scale, i.e.
+    the system is at (or numerically indistinguishable from) a spectral
+    singularity.
     """
-    if abs(matrix.m22) < tol * matrix.scale:
+    if abs(matrix.m22) < SINGULAR_TOL * matrix.scale:
         raise SpectralSingularityError(
             f"|M22| = {abs(matrix.m22):.3g} below tolerance: at spectral singularity"
         )
@@ -116,14 +115,14 @@ def scattering_amplitudes(matrix: TransferMatrix,
 
 
 def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
-                           a0: complex = 0.0, b2: complex = 0.0,
-                           tol: float = 1e-12) -> CoefficientSet:
+                           a0: complex = 0.0, b2: complex = 0.0
+                           ) -> CoefficientSet:
     """Solve for all six amplitudes given the incoming ones (a0 from the left,
     b2 from the right)."""
     if a0 == 0 and b2 == 0:
         raise ValueError("at least one incoming amplitude must be nonzero")
     m = build_transfer_matrix(scenario, wave)
-    if abs(m.m22) < tol * m.scale:
+    if abs(m.m22) < SINGULAR_TOL * m.scale:
         raise SpectralSingularityError(
             "amplitude system is singular: at spectral singularity"
         )
@@ -168,6 +167,19 @@ def general_fields(scenario: SlabScenario, wave: WaveSpec,
 
     Returns (E, H) arrays of shape (..., 3) for broadcastable x, z.
     """
+    psi, psi_odd = _psi(coeffs, scenario, wave, z)
+    return assemble_fields(scenario, wave, psi, psi_odd, x, z)
+
+
+def assemble_fields(scenario: SlabScenario, wave: WaveSpec, psi, psi_odd,
+                    x, z):
+    """E and H three-vectors from a scalar profile pair on the z axis.
+
+    psi is E_y (TE) or H_y (TM) without its x phase; psi_odd is its odd
+    companion (forward minus backward wave), which sets H_x (TE) or E_x (TM).
+    This is the only place the TE/TM component formulas live.  Returns (E, H)
+    arrays of shape (..., 3) for broadcastable x, z.
+    """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     L = scenario.thickness
@@ -177,7 +189,6 @@ def general_fields(scenario: SlabScenario, wave: WaveSpec,
     phase_x = np.exp(1j * wave.k_x * x)
     trans = np.where(inside, n_prime(scenario.medium, wave.theta_deg), cos_t) * phase_x
     zeta = scenario.index_profile(z)
-    psi, psi_odd = _psi(coeffs, scenario, wave, z)
 
     shape = np.broadcast_shapes(psi.shape, phase_x.shape)
     E = np.zeros(shape + (3,), dtype=complex)

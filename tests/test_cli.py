@@ -135,6 +135,13 @@ class TestThreshold:
         assert float(rows[0][1]) == pytest.approx(float(rows[0][2]),
                                                   rel=1e-10)
 
+    def test_format_option_rejected(self, capsys):
+        # only tmatrix has a JSON form; argparse rejects the option here
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--format", "json"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--format" in capsys.readouterr().err
+
 
 class TestSingularity:
     def test_target_solve(self, capsys, ss20_te):

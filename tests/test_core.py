@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainslab import (
+from gainslab.core import (
     GainMedium,
     Polarization,
     SlabScenario,
     WaveSpec,
     k_tilde,
     n_prime,
-    n_tilde,
     u_parameter,
 )
 
@@ -147,5 +146,5 @@ class TestKTilde:
         # two independent computation paths for the same quantity
         w = WaveSpec(k, theta, Polarization.TE)
         via_sqrt = k_tilde(medium, w)
-        via_ntilde = w.k_z * n_tilde(medium, theta)
+        via_ntilde = w.k_z * u_parameter(medium, theta, Polarization.TE)
         assert via_sqrt == pytest.approx(via_ntilde, rel=1e-13)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gainslab import (
-    Polarization,
+from gainslab.core import Polarization, SlabScenario, WaveSpec
+from gainslab.dispersion import (
     TwoLevelMedium,
-    build_transfer_matrix,
+    _lorentz_factors,
     central_mode_number,
     dispersive_medium,
     g0_from_kappa0,
@@ -14,11 +14,9 @@ from gainslab import (
     omega_p_hat_sq_from_kappa0,
     trace_locus,
 )
-from gainslab.core import SlabScenario, WaveSpec
-from gainslab.dispersion import _lorentz_factors
+from gainslab.transfer import build_transfer_matrix
 
-MEDIUM = TwoLevelMedium(n0=3.4, lambda0=1500e-9, gamma_hat=0.02,
-                        g0_max=4000.0)
+MEDIUM = TwoLevelMedium(n0=3.4, lambda0=1500e-9, gamma_hat=0.02)
 L = 300e-6
 
 

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainslab import (
-    Polarization,
+from gainslab.core import Z_0, Polarization
+from gainslab.fields import (
     SingularFieldContext,
     energy_density,
     energy_density_from_fields,
-    envelope_functions,
-    field_sample,
-    parity_report,
     poynting,
     poynting_angle_deg,
     poynting_from_fields,
@@ -84,44 +81,6 @@ class TestUPm:
             u_pm(3.4, 0.5, 2)
 
 
-class TestEnvelopes:
-    def test_outgoing_outside(self, contexts):
-        ctx = contexts["te20"]
-        kz = ctx.k_z
-        for z in (-3e-6, L + 3e-6):
-            f_plus, f_minus, g_plus = envelope_functions(
-                ctx.u, ctx.n_tilde, z, L, kz)
-            expected = (np.exp(-1j * kz * z) if z < 0
-                        else np.exp(1j * kz * (z - L)))
-            for f in (f_plus, f_minus, g_plus):
-                assert complex(f) == pytest.approx(expected, rel=1e-12)
-
-    def test_f_plus_continuous_at_faces(self, contexts):
-        ctx = contexts["tm20"]
-        eps = 1e-9 * L
-        for z0 in (0.0, L):
-            f_lo, _, g_lo = envelope_functions(ctx.u, ctx.n_tilde, z0 - eps,
-                                               L, ctx.k_z)
-            f_hi, _, g_hi = envelope_functions(ctx.u, ctx.n_tilde, z0 + eps,
-                                               L, ctx.k_z)
-            assert complex(f_lo) == pytest.approx(complex(f_hi), rel=1e-3)
-
-    def test_f_minus_sign_jump(self, contexts):
-        # the piecewise odd envelope steps from +1 (outside) to -1 (inside)
-        # across z = 0 while being continuous at z = L
-        ctx = contexts["te20"]
-        eps = 1e-12 * L
-        _, out_side, _ = envelope_functions(ctx.u, ctx.n_tilde, -eps, L,
-                                            ctx.k_z)
-        _, in_side, _ = envelope_functions(ctx.u, ctx.n_tilde, eps, L,
-                                           ctx.k_z)
-        assert complex(out_side) == pytest.approx(1.0, rel=1e-6)
-        assert complex(in_side) == pytest.approx(-1.0, rel=1e-6)
-        _, lo, _ = envelope_functions(ctx.u, ctx.n_tilde, L - eps, L, ctx.k_z)
-        _, hi, _ = envelope_functions(ctx.u, ctx.n_tilde, L + eps, L, ctx.k_z)
-        assert complex(lo) == pytest.approx(complex(hi), rel=1e-6)
-
-
 class TestSingularFields:
     def test_te_component_pattern(self, contexts):
         E, H = singular_fields(contexts["te20"], 0.2e-6,
@@ -143,8 +102,52 @@ class TestSingularFields:
         E, _ = singular_fields(ctx, 0.0, z)
         mags = np.abs(E[:, 1])
         assert mags == pytest.approx(abs(ctx.b0), rel=1e-12)
-        phases = E[:, 1] * np.exp(1j * ctx.k_z * z)
+        phases = E[:, 1] * np.exp(1j * ctx.point.wave.k_z * z)
         assert phases == pytest.approx(phases[0], rel=1e-12)
+
+    def test_outgoing_plane_waves_outside(self, contexts):
+        # outside the slab the wave is b0 e^{i(k_x x -+ k_z z)} moving along
+        # k_hat = (sin, 0, -+cos), with H = k_hat x E / Z_0
+        x = 0.7e-6
+        for ctx in contexts.values():
+            wave = ctx.point.wave
+            th = np.radians(ctx.point.theta_deg)
+            for z, sign in ((np.array([-0.5 * L, -3e-6]), -1.0),
+                            (np.array([L + 3e-6, 1.5 * L]), 1.0)):
+                E, H = singular_fields(ctx, x, z)
+                shift = 0.0 if sign < 0 else L
+                expected = ctx.b0 * np.exp(
+                    1j * (wave.k_x * x + sign * wave.k_z * (z - shift)))
+                k_hat = np.array([np.sin(th), 0.0, sign * np.cos(th)])
+                if ctx.point.polarization is Polarization.TE:
+                    main, field, predicted = (E[:, 1], H,
+                                              np.cross(k_hat, E) / Z_0)
+                else:
+                    main, field, predicted = (H[:, 1], E,
+                                              -Z_0 * np.cross(k_hat, H))
+                assert main == pytest.approx(expected, rel=1e-12)
+                assert np.max(np.abs(predicted - field)) < 1e-12 * np.max(
+                    np.abs(field))
+
+    def test_tangential_continuity_at_faces(self, contexts):
+        # x and y components across each face, one ulp apart
+        for ctx in contexts.values():
+            for lo, hi in ((np.nextafter(0.0, -1.0), 0.0),
+                           (L, np.nextafter(L, 2 * L))):
+                E, H = singular_fields(ctx, 0.0, np.array([lo, hi]))
+                for f in (E, H):
+                    tangential = f[:, :2]
+                    jump = np.max(np.abs(tangential[0] - tangential[1]))
+                    assert jump <= 1e-12 * np.max(np.abs(tangential))
+
+    def test_flux_leaves_both_faces(self, contexts):
+        for ctx in contexts.values():
+            S_left = poynting_from_fields(ctx, 0.0,
+                                          np.linspace(-0.5 * L, -1e-9, 51))
+            S_right = poynting_from_fields(ctx, 0.0,
+                                           np.linspace(L + 1e-9, 1.5 * L, 51))
+            assert np.all(S_left[:, 2] < 0)
+            assert np.all(S_right[:, 2] > 0)
 
     def test_amplitude_scales_linearly(self, ss20_tm):
         one = SingularFieldContext(ss20_tm, b0=1.0)
@@ -185,12 +188,24 @@ class TestPoynting:
         assert np.linalg.norm(S) < 1e-12 * abs(p.k)
 
     def test_matches_cross_product_everywhere(self, contexts):
-        z = np.linspace(0.0, L, 101)
+        z = np.linspace(-0.5 * L, 1.5 * L, 201)
         for ctx in contexts.values():
             closed = poynting(ctx, z)
             direct = poynting_from_fields(ctx, 0.0, z)
             assert np.max(np.abs(closed - direct)) < 1e-12 * np.max(
                 np.abs(closed))
+
+    def test_mirror_symmetry(self, contexts):
+        # z -> L - z keeps S_x and u and reverses S_z
+        z = np.linspace(0.0, L, 64)
+        for ctx in contexts.values():
+            S = poynting(ctx, z) / ctx.poynting_out
+            S_mirror = poynting(ctx, L - z) / ctx.poynting_out
+            u = energy_density(ctx, z) / ctx.energy_out
+            u_mirror = energy_density(ctx, L - z) / ctx.energy_out
+            assert np.max(np.abs(S[:, 0] - S_mirror[:, 0])) < 1e-12
+            assert np.max(np.abs(S[:, 2] + S_mirror[:, 2])) < 1e-12
+            assert np.max(np.abs(u - u_mirror)) < 1e-12
 
     def test_interior_bends_toward_interface(self, contexts):
         # refraction into a dense medium: the interior flow angle at the
@@ -233,26 +248,3 @@ class TestEnergyDensity:
             ratio = energy_density(contexts[name], z) / contexts[
                 name].energy_out
             assert np.max(ratio) > 1.0
-
-
-class TestDiagnostics:
-    def test_parity_report(self, contexts):
-        z = np.linspace(0.0, L, 64)
-        for ctx in contexts.values():
-            report = parity_report(ctx, z)
-            assert report["max_x_asymmetry"] < 1e-12
-            assert report["max_z_antisymmetry"] < 1e-12
-            assert report["max_u_asymmetry"] < 1e-12
-
-    def test_parity_rejects_exterior_grid(self, contexts):
-        with pytest.raises(ValueError):
-            parity_report(contexts["te20"], np.array([-1e-6, 0.0]))
-
-    def test_field_sample_assembly(self, contexts):
-        ctx = contexts["te20"]
-        sample = field_sample(ctx, 1e-6, 0.25 * L)
-        assert sample.E.shape == (3,) and sample.H.shape == (3,)
-        assert sample.S[0] > 0
-        assert sample.u > 0
-        direct = 0.5 * np.real(np.cross(sample.E, np.conj(sample.H)))
-        assert sample.S == pytest.approx(direct, rel=1e-12)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainslab import (
-    GainMedium,
-    Polarization,
+from gainslab.core import GainMedium, Polarization, u_parameter
+from gainslab.solver import (
     brewster_angle,
     critical_angle,
     reflection_ratio,
@@ -19,7 +18,6 @@ from gainslab import (
     threshold_gain_approx,
     threshold_gain_at_kappa,
     threshold_gain_exact,
-    u_parameter,
 )
 
 ETA = 3.4

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainslab import (
-    GainMedium,
-    Polarization,
-    SlabScenario,
+from gainslab.core import GainMedium, Polarization, SlabScenario, WaveSpec
+from gainslab.transfer import (
     SpectralSingularityError,
     TransferMatrix,
-    WaveSpec,
     boundary_residuals,
     build_transfer_matrix,
     general_fields,
