@@ -145,7 +145,7 @@ def cmd_singularity(args: argparse.Namespace) -> int:
     try:
         point = solve_singularity(args.eta, args.theta, args.L, args.pol,
                                   m=args.m, target_wavelength=args.target)
-    except (ConvergenceError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {
@@ -189,7 +189,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
     try:
         point = solve_singularity(args.eta, args.theta, args.L, args.pol,
                                   m=args.m, target_wavelength=args.target)
-    except (ConvergenceError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     ctx = SingularFieldContext(point)
@@ -287,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

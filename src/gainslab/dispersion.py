@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .core import GainMedium, Polarization
 from .solver import ConvergenceError, singularity_residual, solve_singularity
@@ -160,6 +159,7 @@ def _solve_mode(medium: TwoLevelMedium, thickness: float, theta_deg: float,
                                    2.0 * math.pi / lam, polarization)
         return [res.real, res.imag]
 
+    from scipy.optimize import root   # slow to import; only the polishes use it
     sol = root(fun, [1.0, 1.0], method="hybr", options={"xtol": 1e-14})
     lam = lam0 * sol.x[0]
     g0 = g0_seed * sol.x[1]

@@ -25,15 +25,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar, root
 
-from .core import GainMedium, Polarization, SlabScenario, WaveSpec, n_prime
+from .core import GainMedium, Polarization, SlabScenario, WaveSpec
 from .transfer import build_transfer_matrix
 
-KAPPA_BRACKET = (-0.1, -1e-12)   # covers physical gain media (|kappa| <~ 1e-2)
+KAPPA_RANGE = (-0.1, -1e-12)   # covers physical gain media (|kappa| <~ 1e-2)
 RESIDUAL_TOL = 1e-10
 # the TM leading-order gain formula is singular at Brewster's angle
 BREWSTER_GUARD_DEG = 0.1
+_NO_SOLUTION = "no gain solution for kappa in [%g, %g] at theta = {} deg" % KAPPA_RANGE
 
 
 class ConvergenceError(RuntimeError):
@@ -95,29 +95,33 @@ class ThresholdCurve:
     g_max: float | None = None         # TM only, 1/m
 
 
+def _modulus_kernel(eta, kappa, theta_deg, thickness,
+                    polarization: Polarization):
+    """n', r = (n' - n^l cos)/(n' + n^l cos) and the modulus wavenumber
+    k = ln|r| / (L Im n'), elementwise over arguments that broadcast."""
+    th = np.radians(theta_deg)
+    n = eta + 1j * np.asarray(kappa, dtype=float)
+    npr = np.sqrt(n * n - np.sin(th) ** 2)
+    term = n ** polarization.ell * np.cos(th)
+    r = (npr - term) / (npr + term)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.log(np.abs(r)) / (thickness * npr.imag)
+    return npr, r, k
+
+
 def reflection_ratio(medium: GainMedium, theta_deg: float,
                      polarization: Polarization) -> complex:
     """Interface ratio r = (n' - n^l cos)/(n' + n^l cos); equals (u-1)/(u+1)."""
-    npr = n_prime(medium, theta_deg)
-    term = medium.n ** polarization.ell * math.cos(math.radians(theta_deg))
-    return (npr - term) / (npr + term)
+    return complex(_modulus_kernel(medium.eta, medium.kappa, theta_deg, 1.0,
+                                   polarization)[1])
 
 
 def singularity_residual(medium: GainMedium, theta_deg: float, thickness: float,
                          k: float, polarization: Polarization) -> complex:
     """exp(-2i k_tilde L) - r^2; zero exactly at a spectral singularity."""
-    kt = k * n_prime(medium, theta_deg)
-    r = reflection_ratio(medium, theta_deg, polarization)
-    return cmath.exp(-2j * kt * thickness) - r * r
-
-
-def _modulus_wavenumber(eta: float, kappa: float, theta_deg: float,
-                        thickness: float, polarization: Polarization) -> float:
-    """Wavenumber forced by the modulus condition, k = ln|r| / (L Im n')."""
-    medium = GainMedium(eta, kappa)
-    npr = n_prime(medium, theta_deg)
-    r = reflection_ratio(medium, theta_deg, polarization)
-    return math.log(abs(r)) / (thickness * npr.imag)
+    npr, r, _ = _modulus_kernel(medium.eta, medium.kappa, theta_deg,
+                                thickness, polarization)
+    return cmath.exp(-2j * (k * complex(npr)) * thickness) - complex(r) ** 2
 
 
 def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
@@ -126,8 +130,48 @@ def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
     """Exact threshold gain of the singular mode carried by a given kappa < 0."""
     if kappa >= 0:
         raise ValueError("gain requires kappa < 0")
-    k = _modulus_wavenumber(eta, kappa, theta_deg, thickness, polarization)
+    k = float(_modulus_kernel(eta, kappa, theta_deg, thickness,
+                              polarization)[2])
     return -2.0 * k * kappa
+
+
+def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
+                     polarization: Polarization) -> np.ndarray:
+    """kappa with h = L Im n' (k - k_mod) = k L Im n' - ln|r| = 0 per angle,
+    NaN where h has no sign change over KAPPA_RANGE.  h is nearly linear in
+    kappa.  Secant steps, from the closed-form seed -g_approx/(2k) and the
+    range end across the root, stay in a bracket (at first the range) that
+    each evaluation narrows; a step that is not finite, leaves it or follows
+    one that did not lower |h| becomes a geometric bisection (as rtsafe)."""
+
+    def h(kappa):
+        npr, _, k_mod = _modulus_kernel(eta, kappa, theta_deg, thickness,
+                                        polarization)
+        return thickness * npr.imag * (k - k_mod)
+
+    with np.errstate(all="ignore"):
+        seed = -_closed_form_gain(eta, theta_deg, thickness,
+                                  polarization) / (2 * k)
+        a, b = KAPPA_RANGE                   # h(a) < 0 < h(b) where a root is
+        ha, hb = h(a), h(b)
+        x = np.clip(np.nan_to_num(seed, nan=a), a, b)  # -inf, NaN -> a
+        x = np.where((ha < 0) & (hb > 0), x, np.nan)
+        hx = h(x)
+        xp, hp = np.where(hx > 0, a, b), np.where(hx > 0, ha, hb)
+        done = stalled = np.isnan(hx) | (hx == 0)
+        for _ in range(100):
+            if done.all():
+                break
+            s = x - hx * (x - xp) / (hx - hp)
+            new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
+            new = np.where(done, x, new)     # a finished angle stays put
+            hn = h(new)
+            a, b = np.where(hn < 0, new, a), np.where(hn > 0, new, b)
+            stalled = np.abs(hn) >= np.abs(hx)
+            done = done | np.isnan(hn) | (hn == 0) | (
+                np.abs(new - x) <= 1e-15 * np.abs(new))
+            xp, hp, x, hx = x, hx, new, hn
+    return np.where(done & ~np.isnan(hx), x, np.nan)
 
 
 def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
@@ -140,31 +184,23 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
     phase condition would shift the wavelength by O(1/m) with negligible
     effect on g.
     """
-    k_target = 2.0 * math.pi / target_wavelength
+    k = 2.0 * math.pi / target_wavelength
+    kappa = float(_threshold_kappa(eta, theta_deg, thickness, k, polarization))
+    if math.isnan(kappa):
+        raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
+    return kappa, -2.0 * k * kappa
 
-    def f(kappa: float) -> float:
-        return _modulus_wavenumber(eta, kappa, theta_deg, thickness,
-                                   polarization) - k_target
 
-    lo, hi = KAPPA_BRACKET
-    # f -> +inf as kappa -> 0-, so scan down in |kappa| for the sign change
-    grid = -np.logspace(math.log10(-hi), math.log10(-lo), 200)
-    prev_k, prev_f = grid[0], f(grid[0])
-    for kappa in grid[1:]:
-        cur_f = f(kappa)
-        if prev_f == 0.0:
-            kappa_star = prev_k
-            break
-        if prev_f * cur_f < 0:
-            kappa_star = brentq(f, kappa, prev_k, xtol=1e-18, rtol=1e-15)
-            break
-        prev_k, prev_f = kappa, cur_f
-    else:
-        raise ConvergenceError(
-            f"no gain solution for kappa in [{lo:.3g}, {hi:.3g}] at "
-            f"theta = {theta_deg} deg"
-        )
-    return kappa_star, -2.0 * k_target * kappa_star
+def _closed_form_gain(eta, theta_deg, thickness, polarization: Polarization):
+    """threshold_gain_approx elementwise, unchecked: inf at TM Brewster."""
+    th = np.radians(theta_deg)
+    etap = np.sqrt(eta * eta - np.sin(th) ** 2)
+    if polarization is Polarization.TE:
+        return (4.0 * etap / (thickness * eta)) * np.log(
+            np.abs(etap + np.cos(th)) / np.sqrt(eta * eta - 1.0))
+    e2c = eta * eta * np.cos(th)
+    return (2.0 * etap / (thickness * eta)) * np.log(
+        np.abs((etap + e2c) / (etap - e2c)))
 
 
 def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
@@ -177,19 +213,11 @@ def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
     """
     if eta <= 1:
         raise ValueError("approximation assumes eta > 1")
-    th = math.radians(theta_deg)
-    etap = math.sqrt(eta * eta - math.sin(th) ** 2)
-    if polarization is Polarization.TE:
-        return (4.0 * etap / (thickness * eta)) * math.log(
-            abs(etap + math.cos(th)) / math.sqrt(eta * eta - 1.0))
-    if abs(theta_deg - brewster_angle(eta)) < BREWSTER_GUARD_DEG:
-        raise ValueError(
-            "TM leading-order formula is singular within "
-            f"{BREWSTER_GUARD_DEG} deg of Brewster's angle"
-        )
-    e2c = eta * eta * math.cos(th)
-    return (2.0 * etap / (thickness * eta)) * math.log(
-        abs((etap + e2c) / (etap - e2c)))
+    if (polarization is Polarization.TM
+            and abs(theta_deg - brewster_angle(eta)) < BREWSTER_GUARD_DEG):
+        raise ValueError("TM leading-order formula is singular within "
+                         f"{BREWSTER_GUARD_DEG} deg of Brewster's angle")
+    return float(_closed_form_gain(eta, theta_deg, thickness, polarization))
 
 
 def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
@@ -206,12 +234,12 @@ def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
     if approx:
         return _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m,
                                      polarization)
-    medium = GainMedium(eta, kappa)
-    phi = cmath.phase(reflection_ratio(medium, theta_deg, polarization))
-    denom = math.pi * m - phi
+    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
+                                polarization)
+    denom = math.pi * m - cmath.phase(complex(r))
     if denom <= 0:
         raise ValueError(f"invalid mode: pi*m - phi = {denom:.3g} <= 0")
-    return 2.0 * math.pi * thickness * n_prime(medium, theta_deg).real / denom
+    return 2.0 * math.pi * thickness * float(npr.real) / denom
 
 
 def _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m, polarization):
@@ -240,23 +268,23 @@ def critical_angle(eta: float, thickness: float,
                    target_wavelength: float) -> tuple[float, float]:
     """Angle maximizing the TM threshold gain, and the maximum gain (1/m).
 
-    Coarse 0.1-degree scan followed by bounded scalar minimization refined to
-    1e-6 degrees.
-    """
-    def neg_g(theta_deg: float) -> float:
-        _, g = threshold_gain_exact(eta, theta_deg, thickness,
-                                    target_wavelength, Polarization.TM)
-        return -g
-
-    grid = np.arange(0.1, 89.95, 0.1)
-    values = np.array([neg_g(t) for t in grid])
-    i = int(np.argmin(values))
-    if i == 0 or i == len(grid) - 1:
-        raise ConvergenceError("no interior TM gain maximum found")
-    res = minimize_scalar(neg_g, bounds=(grid[i - 1], grid[i + 1]),
-                          method="bounded",
-                          options={"xatol": 1e-6})
-    return float(res.x), float(-res.fun)
+    The peak lies near arctan(eta), where the lossless TM ratio r vanishes;
+    41 angles span arctan(eta) +- 1 deg, then six narrower windows of 41
+    span +- 2 steps around the best (5e-8 deg steps at the end).  Raises
+    ConvergenceError if an angle fails or the first best is on the edge."""
+    k = 2.0 * math.pi / target_wavelength
+    center, half = brewster_angle(eta), 1.0
+    for level in range(7):
+        grid = np.linspace(center - half, center + half, 41)
+        g = -2.0 * k * _threshold_kappa(eta, grid, thickness, k,
+                                        Polarization.TM)
+        if np.isnan(g).any():     # the peak may be among the failed angles
+            raise ConvergenceError(_NO_SOLUTION.format(grid[np.isnan(g)][0]))
+        i = int(np.argmax(g))
+        if level == 0 and i in (0, grid.size - 1):
+            raise ConvergenceError("no interior TM gain maximum found")
+        center, half = grid[i], half / 10.0
+    return float(center), float(g[i])
 
 
 def select_mode_number(eta: float, theta_deg: float, thickness: float,
@@ -270,10 +298,10 @@ def select_mode_number(eta: float, theta_deg: float, thickness: float,
     """
     kappa, _ = threshold_gain_exact(eta, theta_deg, thickness,
                                     target_wavelength, polarization)
-    medium = GainMedium(eta, kappa)
-    phi = cmath.phase(reflection_ratio(medium, theta_deg, polarization))
-    npr = n_prime(medium, theta_deg)
-    x = (2.0 * math.pi * thickness * npr.real / target_wavelength + phi) / math.pi
+    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
+                                polarization)
+    x = (2.0 * math.pi * thickness * float(npr.real) / target_wavelength
+         + cmath.phase(complex(r))) / math.pi
     return max(1, math.floor(x))
 
 
@@ -321,6 +349,7 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
                                    2.0 * math.pi / (lam0 * x[0]), polarization)
         return [res.real, res.imag]
 
+    from scipy.optimize import root   # slow to import; only the polishes use it
     sol = root(fun, [1.0, 1.0], method="hybr",
                options={"xtol": 1e-14, "maxfev": 200})
     lam, kappa = lam0 * sol.x[0], kap0 * sol.x[1]
@@ -348,19 +377,17 @@ def threshold_curve(eta: float, thickness: float, target_wavelength: float,
                     polarization: Polarization,
                     theta_grid_deg) -> ThresholdCurve:
     """Per-angle threshold gain samples; failed points become gap markers."""
-    samples = []
-    for theta_deg in theta_grid_deg:
-        if not 0.0 <= theta_deg < 90.0:
-            raise ValueError("grid angles must lie in [0, 90) degrees")
-        try:
-            kappa, g = threshold_gain_exact(eta, theta_deg, thickness,
-                                            target_wavelength, polarization)
-            samples.append(ThresholdSample(theta_deg, g, target_wavelength,
-                                           kappa))
-        except ConvergenceError as exc:
-            warnings.warn(f"threshold solve failed at {theta_deg} deg: {exc}")
-            samples.append(ThresholdSample(theta_deg, None, target_wavelength,
-                                           None))
+    theta = np.asarray(theta_grid_deg, dtype=float)
+    if not np.all((theta >= 0.0) & (theta < 90.0)):
+        raise ValueError("grid angles must lie in [0, 90) degrees")
+    k = 2.0 * math.pi / target_wavelength
+    kappas = _threshold_kappa(eta, theta, thickness, k, polarization)
+    for theta_deg in theta[np.isnan(kappas)].tolist():
+        warnings.warn(f"threshold solve failed at {theta_deg} deg: "
+                      + _NO_SOLUTION.format(theta_deg))
+    samples = [ThresholdSample(t, None if math.isnan(q) else -2.0 * k * q,
+                               target_wavelength, None if math.isnan(q) else q)
+               for t, q in zip(theta.tolist(), kappas.tolist())]
     theta_c = g_max = None
     if polarization is Polarization.TM:
         theta_c, g_max = critical_angle(eta, thickness, target_wavelength)

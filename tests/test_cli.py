@@ -135,6 +135,16 @@ class TestThreshold:
         assert float(rows[0][1]) == pytest.approx(float(rows[0][2]),
                                                   rel=1e-10)
 
+    def test_no_gain_solution_exits_4(self, capsys):
+        # a 50 nm slab has no threshold with |kappa| <= 0.1 near Brewster's
+        # angle, so the TM critical angle cannot be solved
+        with pytest.warns(UserWarning, match="threshold solve failed"):
+            code, out, err = run(capsys, "threshold", "--L", "50nm",
+                                 "--steps", "5")
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_format_option_rejected(self, capsys):
         # only tmatrix has a JSON form; argparse rejects the option here
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,16 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainslab import solver
 from gainslab.core import GainMedium, Polarization, u_parameter
 from gainslab.solver import (
+    ConvergenceError,
     brewster_angle,
     critical_angle,
     reflection_ratio,
@@ -103,6 +107,64 @@ class TestThresholdGain:
         with pytest.raises(ValueError):
             threshold_gain_approx(ETA, brewster_angle(ETA), L, Polarization.TM)
 
+    def test_tm_at_exact_brewster(self):
+        # the closed-form seed is infinite here, so the bracket takes over
+        kappa, g = threshold_gain_exact(ETA, brewster_angle(ETA), 300e-6, LAM,
+                                        Polarization.TM)
+        assert kappa < 0
+        assert g == pytest.approx(46111.30967641408, rel=1e-9)
+
+    def test_no_solution_in_kappa_range_raises(self):
+        # a 50 nm slab would need |kappa| > 0.1 at normal incidence
+        with pytest.raises(ConvergenceError, match="no gain solution"):
+            threshold_gain_exact(ETA, 0.0, 50e-9, LAM, Polarization.TE)
+
+    def test_bracket_catches_secant_steps_that_leave_it(self, monkeypatch):
+        # a residual h = atan((kappa - kappa0) / w), flat away from its root:
+        # secant steps from the seed jump out of the kappa range, so only
+        # the bracket's bisection brings the solve back to the root
+        kappa0, w, k = -1e-3, 1e-7, 2 * math.pi / LAM
+
+        def kernel(eta, kappa, theta_deg, thickness, polarization):
+            h = np.arctan((np.asarray(kappa, dtype=float) - kappa0) / w)
+            return 1j + 0 * h, None, k - h / thickness
+
+        monkeypatch.setattr(solver, "_modulus_kernel", kernel)
+        kappa, _ = threshold_gain_exact(ETA, 30.0, L, LAM, Polarization.TE)
+        assert kappa == pytest.approx(kappa0, rel=1e-12)
+
+
+def mp_modulus_residual(eta, kappa, theta_deg, thickness, wavelength, pol):
+    """|k_mod - k| / k for k_mod = ln|r| / (L Im n'), in 40-digit arithmetic
+    written from the equations, not from the package's kernels."""
+    with mpmath.workdps(40):
+        n = mpmath.mpc(eta, kappa)
+        th = mpmath.radians(mpmath.mpf(theta_deg))
+        npr = mpmath.sqrt(n * n - mpmath.sin(th) ** 2)
+        term = (n * n if pol is Polarization.TM else 1) * mpmath.cos(th)
+        r = (npr - term) / (npr + term)
+        k = 2 * mpmath.pi / mpmath.mpf(wavelength)
+        k_mod = mpmath.log(abs(r)) / (mpmath.mpf(thickness) * npr.imag)
+        return float(abs(k_mod - k) / k)
+
+
+class TestModulusOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(eta=st.floats(1.2, 5.0), theta=st.floats(0.0, 89.9),
+           thickness=st.floats(50e-6, 1000e-6),
+           wavelength=st.floats(0.8e-6, 2e-6),
+           pol=st.sampled_from(list(Polarization)))
+    def test_solution_or_typed_error(self, eta, theta, thickness, wavelength,
+                                     pol):
+        try:
+            kappa, g = threshold_gain_exact(eta, theta, thickness, wavelength,
+                                            pol)
+        except ConvergenceError:
+            return
+        assert kappa < 0
+        assert mp_modulus_residual(eta, kappa, theta, thickness, wavelength,
+                                   pol) <= 1e-12
+
 
 class TestAngles:
     def test_brewster(self):
@@ -115,6 +177,12 @@ class TestAngles:
         theta_c, g_max = critical_angle(ETA, 300e-6, LAM)
         assert theta_c == pytest.approx(brewster_angle(ETA), abs=2e-5)
         assert g_max / 100 == pytest.approx(461.113106, rel=1e-6)
+
+    def test_critical_angle_raises_where_the_peak_has_no_solution(self):
+        # at L = 9 um the gain near arctan(eta) needs |kappa| > 0.1; the
+        # flanks solve, but the largest of their gains is not the maximum
+        with pytest.raises(ConvergenceError, match="no gain solution"):
+            critical_angle(ETA, 9e-6, LAM)
 
     def test_critical_angle_grid_stability(self):
         # the refined maximum should not depend on the coarse scan start
@@ -250,6 +318,31 @@ class TestThresholdCurve:
         assert curve.g_max / 100 == pytest.approx(461.113106, rel=1e-6)
         assert curve.theta_c_deg == pytest.approx(brewster_angle(ETA),
                                                   abs=2e-5)
+
+    def test_tm_finite_across_brewster(self):
+        grid = [73.60, brewster_angle(ETA), 73.62]
+        curve = threshold_curve(ETA, 300e-6, LAM, Polarization.TM, grid)
+        assert all(s.g is not None and math.isfinite(s.g) and s.kappa < 0
+                   for s in curve.samples)
+
+    @pytest.mark.parametrize("pol", list(Polarization))
+    def test_samples_equal_one_angle_solves(self, pol):
+        grid = np.linspace(0.0, 89.5, 180)
+        curve = threshold_curve(ETA, 300e-6, LAM, pol, grid)
+        for s in curve.samples:
+            kappa, g = threshold_gain_exact(ETA, s.theta_deg, 300e-6, LAM, pol)
+            assert s.kappa == pytest.approx(kappa, rel=1e-13)
+            assert s.g == pytest.approx(g, rel=1e-13)
+
+    def test_failed_angles_become_gap_markers(self):
+        # a 50 nm slab has no solution with |kappa| <= 0.1 below grazing
+        # incidence, but has one at 89.5 deg, where ln|r| is small
+        with pytest.warns(UserWarning, match="threshold solve failed"):
+            curve = threshold_curve(ETA, 50e-9, LAM, Polarization.TE,
+                                    [0.0, 45.0, 89.5])
+        gaps, last = curve.samples[:2], curve.samples[2]
+        assert all(s.g is None and s.kappa is None for s in gaps)
+        assert last.kappa < 0 and last.g > 0
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
