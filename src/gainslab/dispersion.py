@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GainMedium, Polarization
-from .solver import ConvergenceError, singularity_residual, solve_singularity
+from .solver import (_closed_form_gain, _modulus_kernel, _phase_k,
+                     _phase_wavelength, _residual, _solve_kappa)
 
 LOCUS_RESIDUAL_TOL = 1e-10
+LOCUS_ROUNDS = 50          # cap on wavelength updates (8-22 for L 20um-2mm)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class LocusPoint:
 def index_squared(omega_hat: float, medium: TwoLevelMedium,
                   omega_p_hat_sq: float) -> complex:
     """Full two-level permittivity n^2 = n0^2 - wp^2/(w^2 - 1 + i gamma w)."""
-    if omega_hat <= 0:
+    if np.any(np.asarray(omega_hat) <= 0):
         raise ValueError("omega_hat must be positive")
     denom = omega_hat ** 2 - 1.0 + 1j * medium.gamma_hat * omega_hat
     return medium.n0 ** 2 - omega_p_hat_sq / denom
@@ -74,7 +76,7 @@ def _lorentz_factors(omega_hat: float, gamma_hat: float) -> tuple[float, float]:
 def linearized_index(omega_hat: float, medium: TwoLevelMedium,
                      kappa0: float) -> tuple[float, float]:
     """First-order-in-kappa0 index: eta = n0 + kappa0 f1, kappa = kappa0 f2."""
-    if omega_hat <= 0:
+    if np.any(np.asarray(omega_hat) <= 0):
         raise ValueError("omega_hat must be positive")
     f1, f2 = _lorentz_factors(omega_hat, medium.gamma_hat)
     return medium.n0 + kappa0 * f1, kappa0 * f2
@@ -92,14 +94,11 @@ def g0_from_kappa0(medium: TwoLevelMedium, kappa0: float) -> float:
 def dispersive_medium(wavelength: float, medium: TwoLevelMedium,
                       g0: float, full_model: bool = False) -> GainMedium:
     """Slab index at the given wavelength and pump level."""
-    omega_hat = medium.lambda0 / wavelength
     kappa0 = kappa0_from_g0(medium, g0)
     if full_model:
-        n = np.sqrt(np.complex128(index_squared(
-            omega_hat, medium, omega_p_hat_sq_from_kappa0(medium, kappa0))))
-        return GainMedium(n.real, n.imag)
-    eta, kappa = linearized_index(omega_hat, medium, kappa0)
-    return GainMedium(eta, kappa)
+        omega_p_hat_sq_from_kappa0(medium, kappa0)   # warns for a large pump
+    eta, kappa = _index_map(medium, wavelength, full_model)(kappa0)
+    return GainMedium(float(eta), float(kappa))
 
 
 def central_mode_number(medium: TwoLevelMedium, thickness: float,
@@ -110,61 +109,58 @@ def central_mode_number(medium: TwoLevelMedium, thickness: float,
     return max(1, round(2.0 * thickness * npr / medium.lambda0))
 
 
+def _index_map(medium: TwoLevelMedium, wavelength, full_model: bool):
+    """kappa0 -> slab index (eta, kappa) at fixed wavelengths, elementwise."""
+    omega_hat = medium.lambda0 / wavelength
+    if not full_model:
+        return lambda kappa0: linearized_index(omega_hat, medium, kappa0)
+
+    def index(kappa0):  # omega_p_hat_sq_from_kappa0 would warn on trial kappa0
+        n = np.sqrt(index_squared(omega_hat, medium, 2.0 * medium.n0
+                                  * medium.gamma_hat * kappa0))
+        return n.real, n.imag
+    return index
+
+
 def trace_locus(medium: TwoLevelMedium, thickness: float, theta_deg: float,
                 polarization: Polarization, m_values,
                 g0_cap: float | None = None,
                 full_model: bool = False
                 ) -> tuple[list[LocusPoint], list[int]]:
-    """Per-mode singularity solves with the dispersive index.
+    """Singular points of the given modes with the dispersive index.
 
-    Each mode is seeded independently from its dispersion-free solution; a
-    failed mode is recorded in the second return value, never interpolated.
-    With g0_cap set, points above the cap are dropped.
+    All modes start at their dispersion-free wavelengths 2 L eta'/m and are
+    solved together: at fixed wavelengths, mode m's kappa0 comes from the
+    labelled kappa solve of solve_singularity; the phase condition then moves
+    each mode to its exact wavelength, until no wavelength moves.  Modes with
+    m < 1, no solution, g0 <= 0 or a residual above LOCUS_RESIDUAL_TOL are
+    returned second; with g0_cap set, points above the cap are dropped.
     """
     m_values = list(m_values)
     if not m_values:
         raise ValueError("m_values must be nonempty")
-    points: list[LocusPoint] = []
-    failed: list[int] = []
-    for m in m_values:
-        try:
-            points.append(_solve_mode(medium, thickness, theta_deg,
-                                      polarization, m, full_model))
-        except (ConvergenceError, ValueError):
-            failed.append(m)
+    with np.errstate(all="ignore"):          # failed modes carry NaN
+        m = np.where(np.array(m_values) >= 1, m_values, np.nan)
+        lam = 2.0 * thickness * math.sqrt(
+            medium.n0 ** 2 - math.sin(math.radians(theta_deg)) ** 2) / m
+        kappa0 = -_closed_form_gain(medium.n0, theta_deg, thickness,
+                                    polarization) * lam / (4.0 * math.pi)
+        for _ in range(LOCUS_ROUNDS):
+            index = _index_map(medium, lam, full_model)
+            kappa0 = _solve_kappa(index, _phase_k(m, thickness), theta_deg,
+                                  thickness, polarization, kappa0)
+            npr, r, _ = _modulus_kernel(*index(kappa0), theta_deg, thickness,
+                                        polarization)
+            lam, last = _phase_wavelength(npr, r, m, thickness), lam
+            if not np.any(np.abs(lam - last) > 1e-15 * lam):   # NaN: failed
+                break
+        npr, r, _ = _modulus_kernel(*_index_map(medium, lam, full_model)(
+            kappa0), theta_deg, thickness, polarization)
+        residual = np.abs(_residual(npr, r, 2.0 * math.pi / lam, thickness))
+        g0 = g0_from_kappa0(medium, kappa0)
+        ok = (residual <= LOCUS_RESIDUAL_TOL) & (g0 > 0)
+    points = [LocusPoint(*values) for values, good in zip(
+        zip(lam.tolist(), g0.tolist(), m_values, residual.tolist()), ok)
+        if good and (g0_cap is None or values[1] <= g0_cap)]
     points.sort(key=lambda p: p.m)
-    if g0_cap is not None:
-        points = [p for p in points if p.g0 <= g0_cap]
-    return points, failed
-
-
-def _solve_mode(medium: TwoLevelMedium, thickness: float, theta_deg: float,
-                polarization: Polarization, m: int,
-                full_model: bool) -> LocusPoint:
-    # dispersion-free seed at the host index
-    seed = solve_singularity(medium.n0, theta_deg, thickness, polarization,
-                             m=m)
-    omega_hat = medium.lambda0 / seed.wavelength
-    _, f2 = _lorentz_factors(omega_hat, medium.gamma_hat)
-    if f2 <= 0:
-        raise ConvergenceError(f"gain line does not reach mode m = {m}")
-    g0_seed = g0_from_kappa0(medium, seed.kappa / f2)
-    lam0 = seed.wavelength
-
-    def fun(x):
-        lam = lam0 * x[0]
-        g0 = g0_seed * x[1]
-        slab = dispersive_medium(lam, medium, g0, full_model)
-        res = singularity_residual(slab, theta_deg, thickness,
-                                   2.0 * math.pi / lam, polarization)
-        return [res.real, res.imag]
-
-    from scipy.optimize import root   # slow to import; only the polishes use it
-    sol = root(fun, [1.0, 1.0], method="hybr", options={"xtol": 1e-14})
-    lam = lam0 * sol.x[0]
-    g0 = g0_seed * sol.x[1]
-    residual = math.hypot(*fun(sol.x))
-    if residual > LOCUS_RESIDUAL_TOL or g0 <= 0:
-        raise ConvergenceError(
-            f"no convergence for mode m = {m}: residual = {residual:.3g}")
-    return LocusPoint(wavelength=lam, g0=g0, m=m, residual=residual)
+    return points, [mv for mv, good in zip(m_values, ok) if not good]

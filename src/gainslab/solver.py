@@ -121,7 +121,7 @@ def singularity_residual(medium: GainMedium, theta_deg: float, thickness: float,
     """exp(-2i k_tilde L) - r^2; zero exactly at a spectral singularity."""
     npr, r, _ = _modulus_kernel(medium.eta, medium.kappa, theta_deg,
                                 thickness, polarization)
-    return cmath.exp(-2j * (k * complex(npr)) * thickness) - complex(r) ** 2
+    return complex(_residual(npr, r, k, thickness))
 
 
 def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
@@ -135,23 +135,21 @@ def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
     return -2.0 * k * kappa
 
 
-def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
-                     polarization: Polarization) -> np.ndarray:
-    """kappa with h = L Im n' (k - k_mod) = k L Im n' - ln|r| = 0 per angle,
-    NaN where h has no sign change over KAPPA_RANGE.  h is nearly linear in
-    kappa.  Secant steps, from the closed-form seed -g_approx/(2k) and the
-    range end across the root, stay in a bracket (at first the range) that
-    each evaluation narrows; a step that is not finite, leaves it or follows
-    one that did not lower |h| becomes a geometric bisection (as rtsafe)."""
+def _solve_kappa(index, k, theta_deg, thickness: float,
+                 polarization: Polarization, seed) -> np.ndarray:
+    """q with h = L Im n' (K - k_mod) = 0 for the slab index index(q) and
+    K = k(n', r), elementwise, NaN where h has no sign change over
+    KAPPA_RANGE.  h is nearly linear in q.  Secant steps, from the seed and
+    the range end across the root, stay in a bracket (at first the range)
+    that each evaluation narrows; a step that is not finite, leaves it or
+    follows one that did not lower |h| becomes a geometric bisection."""
 
-    def h(kappa):
-        npr, _, k_mod = _modulus_kernel(eta, kappa, theta_deg, thickness,
+    def h(q):
+        npr, r, k_mod = _modulus_kernel(*index(q), theta_deg, thickness,
                                         polarization)
-        return thickness * npr.imag * (k - k_mod)
+        return thickness * npr.imag * (k(npr, r) - k_mod)
 
     with np.errstate(all="ignore"):
-        seed = -_closed_form_gain(eta, theta_deg, thickness,
-                                  polarization) / (2 * k)
         a, b = KAPPA_RANGE                   # h(a) < 0 < h(b) where a root is
         ha, hb = h(a), h(b)
         x = np.clip(np.nan_to_num(seed, nan=a), a, b)  # -inf, NaN -> a
@@ -164,7 +162,7 @@ def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
                 break
             s = x - hx * (x - xp) / (hx - hp)
             new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
-            new = np.where(done, x, new)     # a finished angle stays put
+            new = np.where(done, x, new)     # a finished entry stays put
             hn = h(new)
             a, b = np.where(hn < 0, new, a), np.where(hn > 0, new, b)
             stalled = np.abs(hn) >= np.abs(hx)
@@ -172,6 +170,29 @@ def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
                 np.abs(new - x) <= 1e-15 * np.abs(new))
             xp, hp, x, hx = x, hx, new, hn
     return np.where(done & ~np.isnan(hx), x, np.nan)
+
+
+def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
+                     polarization: Polarization) -> np.ndarray:
+    """Threshold kappa at a fixed k per angle, from the seed -g_approx/(2k)."""
+    seed = -_closed_form_gain(eta, theta_deg, thickness, polarization) / (2 * k)
+    return _solve_kappa(lambda q: (eta, q), lambda npr, r: k, theta_deg,
+                        thickness, polarization, seed)
+
+
+def _phase_k(m, thickness: float):
+    """K(n', r) = (pi m - phi) / (L Re n') of mode m's phase condition."""
+    return lambda npr, r: (np.pi * m - np.angle(r)) / (thickness * npr.real)
+
+
+def _phase_wavelength(npr, r, m, thickness):
+    """lambda = 2 pi L Re(n') / (pi m - phi) of the phase condition."""
+    return 2.0 * np.pi * thickness * npr.real / (np.pi * m - np.angle(r))
+
+
+def _residual(npr, r, k, thickness):
+    """exp(-2i k n' L) - r^2, elementwise."""
+    return np.exp(-2j * (k * npr) * thickness) - r ** 2
 
 
 def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
@@ -195,12 +216,13 @@ def _closed_form_gain(eta, theta_deg, thickness, polarization: Polarization):
     """threshold_gain_approx elementwise, unchecked: inf at TM Brewster."""
     th = np.radians(theta_deg)
     etap = np.sqrt(eta * eta - np.sin(th) ** 2)
-    if polarization is Polarization.TE:
-        return (4.0 * etap / (thickness * eta)) * np.log(
-            np.abs(etap + np.cos(th)) / np.sqrt(eta * eta - 1.0))
-    e2c = eta * eta * np.cos(th)
-    return (2.0 * etap / (thickness * eta)) * np.log(
-        np.abs((etap + e2c) / (etap - e2c)))
+    with np.errstate(divide="ignore"):
+        if polarization is Polarization.TE:
+            return (4.0 * etap / (thickness * eta)) * np.log(
+                np.abs(etap + np.cos(th)) / np.sqrt(eta * eta - 1.0))
+        e2c = eta * eta * np.cos(th)
+        return (2.0 * etap / (thickness * eta)) * np.log(
+            np.abs((etap + e2c) / (etap - e2c)))
 
 
 def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
@@ -236,10 +258,11 @@ def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
                                      polarization)
     npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
                                 polarization)
-    denom = math.pi * m - cmath.phase(complex(r))
-    if denom <= 0:
-        raise ValueError(f"invalid mode: pi*m - phi = {denom:.3g} <= 0")
-    return 2.0 * math.pi * thickness * float(npr.real) / denom
+    with np.errstate(divide="ignore"):
+        lam = float(_phase_wavelength(npr, r, m, thickness))
+    if not 0 < lam < math.inf:
+        raise ValueError("invalid mode: pi*m - phi <= 0")
+    return lam
 
 
 def _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m, polarization):
@@ -314,50 +337,42 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
 
     Either a mode number m or a target wavelength must be given; with a
     target, the first singular wavelength at or above it is selected.  The
-    solution is found by alternating the phase and modulus conditions and
-    then polishing the complex residual with a 2D Newton-type solve.
+    phase condition gives k in closed form, so kappa solves the modulus
+    condition alone, seeded by the closed-form gain; the wavelength follows
+    from the phase condition, and up to three Newton steps in it absorb the
+    rounding of k = 2 pi / wavelength in the complex residual.
     """
     if m is None:
         if target_wavelength is None:
             raise ValueError("give either a mode number or a target wavelength")
         m = select_mode_number(eta, theta_deg, thickness, target_wavelength,
                                polarization)
-        lam = target_wavelength
-    else:
-        if m < 1:
-            raise ValueError("mode number must be >= 1")
-        lam = ss_wavelength(eta, 0.0, theta_deg, thickness, m, polarization,
-                            approx=True)
-
-    kappa = None
-    for _ in range(12):
-        kappa, _ = threshold_gain_exact(eta, theta_deg, thickness, lam,
-                                        polarization)
-        lam_new = ss_wavelength(eta, kappa, theta_deg, thickness, m,
-                                polarization)
-        if abs(lam_new - lam) < 1e-18:
-            lam = lam_new
-            break
-        lam = lam_new
-
-    # Newton polish of the complex residual in scaled variables
-    lam0, kap0 = lam, kappa
-
-    def fun(x):
-        med = GainMedium(eta, kap0 * x[1])
-        res = singularity_residual(med, theta_deg, thickness,
-                                   2.0 * math.pi / (lam0 * x[0]), polarization)
-        return [res.real, res.imag]
-
-    from scipy.optimize import root   # slow to import; only the polishes use it
-    sol = root(fun, [1.0, 1.0], method="hybr",
-               options={"xtol": 1e-14, "maxfev": 200})
-    lam, kappa = lam0 * sol.x[0], kap0 * sol.x[1]
+    lam = ss_wavelength(eta, 0.0, theta_deg, thickness, m, polarization,
+                        approx=True)
+    seed = -_closed_form_gain(eta, theta_deg, thickness,
+                              polarization) * lam / (4.0 * math.pi)
+    kappa = float(_solve_kappa(lambda q: (eta, q), _phase_k(m, thickness),
+                               theta_deg, thickness, polarization, seed))
+    if math.isnan(kappa):
+        raise ConvergenceError(f"no gain solution for m = {m}")
+    lam = ss_wavelength(eta, kappa, theta_deg, thickness, m, polarization)
 
     medium = GainMedium(eta, kappa)
+    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
+                                polarization)
+    slope = complex(4j * math.pi * thickness * npr * r * r) / lam ** 2  # dF/dlam
+    res = singularity_residual(medium, theta_deg, thickness,
+                               2.0 * math.pi / lam, polarization)
+    for _ in range(3):          # Newton steps in real lam, kept while |F| falls
+        new = lam - (res / slope).real
+        res_new = singularity_residual(medium, theta_deg, thickness,
+                                       2.0 * math.pi / new, polarization)
+        if not abs(res_new) < abs(res):
+            break
+        lam, res = new, res_new
+
     k = 2.0 * math.pi / lam
-    residual = abs(singularity_residual(medium, theta_deg, thickness, k,
-                                        polarization))
+    residual = abs(res)
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"no convergence: |residual| = {residual:.3g} for m = {m}")

@@ -194,6 +194,18 @@ class TestLocus:
             assert float(r[3]) < 1e-10
             assert float(r[2]) > 0
 
+    def test_readme_tm_locus_has_no_far_off_roots(self, capsys):
+        # gainslab locus --pol TM --theta 73 --m-span 40 (README): mode 1291
+        # once converged about 240 mode spacings away from its neighbours
+        code, out, _ = run(capsys, "locus", "--pol", "TM", "--theta", "73",
+                           "--m-span", "40")
+        assert code == EXIT_OK
+        _, rows = csv_rows(out)
+        lam = {int(r[0]): float(r[1]) for r in rows}
+        spacing = lam[1291] / 1291
+        assert abs(lam[1290] - lam[1291]) < 2 * spacing
+        assert abs(lam[1291] - lam[1292]) < 2 * spacing
+
     def test_cap_prunes_high_gain(self, capsys):
         args = ["locus", "--pol", "TE", "--m-min", "1340", "--m-max", "1345"]
         _, out_full, _ = run(capsys, *args)

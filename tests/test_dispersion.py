@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,9 +165,56 @@ class TestTraceLocus:
 
     def test_full_model_close_to_linearized(self):
         m0 = central_mode_number(MEDIUM, L, 0.0)
-        lin, _ = trace_locus(MEDIUM, L, 0.0, Polarization.TE, [m0 + 5])
-        full, _ = trace_locus(MEDIUM, L, 0.0, Polarization.TE, [m0 + 5],
+        modes = range(m0 - 3, m0 + 4)
+        lin, _ = trace_locus(MEDIUM, L, 0.0, Polarization.TE, modes)
+        full, _ = trace_locus(MEDIUM, L, 0.0, Polarization.TE, modes,
                               full_model=True)
-        assert full[0].wavelength == pytest.approx(lin[0].wavelength,
-                                                   rel=1e-9)
-        assert full[0].g0 == pytest.approx(lin[0].g0, rel=1e-3)
+        assert [p.m for p in full] == [p.m for p in lin] == list(modes)
+        for f, p in zip(full, lin):
+            assert f.wavelength == pytest.approx(p.wavelength, rel=1e-9)
+            assert f.g0 == pytest.approx(p.g0, rel=1e-3)
+
+    def test_criterion_12_locus_invariants(self):
+        # TE 30 deg, m0 +- 50: every mode converges, carries its own label in
+        # the phase condition, and no two labels share a root
+        theta = math.radians(30.0)
+        m0 = central_mode_number(MEDIUM, L, 30.0)
+        modes = range(m0 - 50, m0 + 50)
+        points, failed = trace_locus(MEDIUM, L, 30.0, Polarization.TE, modes)
+        assert failed == [] and [p.m for p in points] == list(modes)
+        lam = np.array([p.wavelength for p in points])
+        g0 = np.array([p.g0 for p in points])
+        m = np.array([p.m for p in points])
+        # linearized two-level index, written out independently
+        w = MEDIUM.lambda0 / lam
+        d = (1 - w ** 2) ** 2 + (MEDIUM.gamma_hat * w) ** 2
+        kappa0 = -MEDIUM.lambda0 * g0 / (4 * np.pi)
+        n = (MEDIUM.n0 + kappa0 * MEDIUM.gamma_hat * (1 - w ** 2) / d
+             + 1j * kappa0 * MEDIUM.gamma_hat ** 2 * w / d)
+        npr = np.sqrt(n ** 2 - np.sin(theta) ** 2)
+        r = (npr - np.cos(theta)) / (npr + np.cos(theta))
+        label = (2 * np.pi / lam * L * npr.real + np.angle(r)) / np.pi
+        assert np.max(np.abs(label - m)) < 1e-6
+        spacing = np.median(lam / m)
+        assert np.min(np.diff(np.sort(lam))) > 1e-3 * spacing
+
+    @pytest.mark.parametrize("full_model", [False, True])
+    @pytest.mark.parametrize("theta,pol", [(30.0, Polarization.TE),
+                                           (73.0, Polarization.TM)])
+    def test_wide_mode_range_accounts_for_every_mode(self, theta, pol,
+                                                     full_model):
+        # far wings need kappa0 beyond KAPPA_RANGE; they must fail quietly
+        m0 = central_mode_number(MEDIUM, L, theta)
+        modes = list(range(m0 - 200, m0 + 201))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, failed = trace_locus(MEDIUM, L, theta, pol, modes,
+                                         full_model=full_model)
+        assert sorted([p.m for p in points] + failed) == modes
+        assert all(p.residual < 1e-10 and p.g0 > 0 for p in points)
+
+    def test_invalid_mode_numbers_fail(self):
+        m0 = central_mode_number(MEDIUM, L, 0.0)
+        points, failed = trace_locus(MEDIUM, L, 0.0, Polarization.TE,
+                                     [-1, 0, m0])
+        assert failed == [-1, 0] and [p.m for p in points] == [m0]

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -164,6 +167,68 @@ class TestModulusOracle:
         assert kappa < 0
         assert mp_modulus_residual(eta, kappa, theta, thickness, wavelength,
                                    pol) <= 1e-12
+
+
+def mp_singular_root(eta, theta_deg, thickness, pol, m, lam0, kappa0):
+    """(wavelength, kappa) solving k L n' = pi m + i Log r, the form of
+    exp(-2i k n' L) = r^2 labelled by m, in 40-digit arithmetic written from
+    the equations; Newton from (lam0, kappa0) in variables scaled by them."""
+    with mpmath.workdps(40):
+        th = mpmath.radians(mpmath.mpf(theta_deg))
+
+        def condition(x, y):
+            n = mpmath.mpc(eta, y * kappa0)
+            npr = mpmath.sqrt(n * n - mpmath.sin(th) ** 2)
+            term = (n * n if pol is Polarization.TM else 1) * mpmath.cos(th)
+            r = (npr - term) / (npr + term)
+            return (2 * mpmath.pi / (x * lam0) * thickness * npr
+                    - 1j * mpmath.log(r) - mpmath.pi * m)
+
+        x, y = mpmath.findroot([lambda x, y: condition(x, y).real,
+                                lambda x, y: condition(x, y).imag],
+                               (mpmath.mpf(1), mpmath.mpf(1)))
+        return float(x * lam0), float(y * kappa0)
+
+
+class TestSingularOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(eta=st.floats(2.0, 4.5), theta=st.floats(0.0, 85.0),
+           thickness=st.floats(100e-6, 500e-6),
+           target=st.floats(1.3e-6, 1.6e-6),
+           pol=st.sampled_from(list(Polarization)))
+    def test_solution_or_typed_error(self, eta, theta, thickness, target,
+                                     pol):
+        try:
+            p = solve_singularity(eta, theta, thickness, pol,
+                                  target_wavelength=target)
+        except ConvergenceError:
+            return
+        lam, kappa = mp_singular_root(eta, theta, thickness, pol, p.m,
+                                      p.wavelength, p.kappa)
+        assert p.wavelength == pytest.approx(lam, rel=1e-13, abs=0)
+        assert p.kappa == pytest.approx(kappa, rel=1e-13, abs=0)
+
+
+def test_no_scipy_at_run_time():
+    # numpy is the only run-time dependency: importing the package, solving
+    # singular points and tracing loci load no scipy module
+    script = (
+        "import sys\n"
+        "import gainslab as gs\n"
+        "TE = gs.Polarization.TE\n"
+        "gs.solve_singularity(3.4, 20.0, 400e-6, TE, target_wavelength=1.5e-6)\n"
+        "gs.solve_singularity(3.4, 20.0, 400e-6, TE, m=1804)\n"
+        "medium = gs.TwoLevelMedium(3.4, 1.5e-6, 0.02)\n"
+        "m0 = gs.central_mode_number(medium, 300e-6, 0.0)\n"
+        "for full in (False, True):\n"
+        "    gs.trace_locus(medium, 300e-6, 0.0, TE, range(m0 - 2, m0 + 3),\n"
+        "                   full_model=full)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestAngles:
