@@ -121,6 +121,8 @@ def cmd_tmatrix(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     te = threshold_curve(args.eta, args.L, args.wavelength, Polarization.TE, grid)
     tm = threshold_curve(args.eta, args.L, args.wavelength, Polarization.TM, grid)

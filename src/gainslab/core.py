@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,6 @@ import numpy as np
 # CODATA vacuum constants
 EPSILON_0 = 8.8541878128e-12   # F/m
 MU_0 = 1.25663706212e-6        # H/m
-C_0 = 299792458.0              # m/s
 Z_0 = math.sqrt(MU_0 / EPSILON_0)  # vacuum impedance, Ohm
 
 
@@ -99,10 +99,6 @@ class WaveSpec:
         return 2.0 * math.pi / self.k
 
     @property
-    def omega(self) -> float:
-        return self.k * C_0
-
-    @property
     def theta_rad(self) -> float:
         return math.radians(self.theta_deg)
 
@@ -123,7 +119,7 @@ def n_prime(medium: GainMedium, theta_deg: float) -> complex:
     kappa.
     """
     s = math.sin(math.radians(theta_deg))
-    return complex(np.sqrt(np.complex128(medium.n ** 2 - s * s)))
+    return cmath.sqrt(medium.n ** 2 - s * s)
 
 
 def u_parameter(medium: GainMedium, theta_deg: float,
@@ -131,8 +127,14 @@ def u_parameter(medium: GainMedium, theta_deg: float,
     """Interface mismatch parameter: n'/cos(theta) for TE, n'/(n^2 cos(theta)) for TM."""
     if not abs(theta_deg) < 90.0:
         raise ValueError("u is singular at grazing incidence (|theta| = 90 degrees)")
-    c = math.cos(math.radians(theta_deg))
-    u = n_prime(medium, theta_deg) / c
+    return u_from_n_prime(n_prime(medium, theta_deg), medium, theta_deg,
+                          polarization)
+
+
+def u_from_n_prime(n_p: complex, medium: GainMedium, theta_deg: float,
+                   polarization: Polarization) -> complex:
+    """u_parameter for an n' already in hand."""
+    u = n_p / math.cos(math.radians(theta_deg))
     if polarization is Polarization.TM:
         u = u / medium.n ** 2
     return u

@@ -6,11 +6,15 @@ is carried by the envelope pair
 
     U_pm(u, s) = [ (u-1)^(1-s) (u+1)^s +- (u-1)^s (u+1)^(1-s) ] / 2,
 
-with s = z/L and principal complex powers.
+with s = z/L and principal complex powers.  Both are evaluated from one
+complex exponential per depth, w = exp(s (Log(u+1) - Log(u-1))):
+
+    U_pm = [ (u-1) w +- (u+1)/w ] / 2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,68 +55,72 @@ class SingularFieldContext:
         return MU_0 * abs(self.b0) ** 2 / 2.0
 
 
-def u_pm(u: complex, s, sign: int):
-    """Envelope pair U_+ (sign=+1) / U_- (sign=-1) at normalized depth s."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if u == 1 or u == -1:
-        raise ValueError("u = +-1 makes the fractional powers degenerate")
-    s = np.asarray(s)
-    if np.any((s < 0) | (s > 1)):
-        raise ValueError("normalized depth must lie in [0, 1]")
-    um = np.complex128(u - 1.0)
-    up = np.complex128(u + 1.0)
-    first = um ** (1.0 - s) * up ** s
-    second = um ** s * up ** (1.0 - s)
-    return 0.5 * (first + sign * second)
+def _envelopes(u: complex, s):
+    """Envelope pair (U_+, U_-) at normalized depths s in [0, 1].
+
+    Log(u+1) - Log(u-1) gives the principal powers for every u;
+    Log((u+1)/(u-1)) is 2 pi i off where the two arguments straddle the
+    branch cut (real u < 1 with a negative-zero imaginary part).
+    """
+    w = np.exp(s * (cmath.log(u + 1.0) - cmath.log(u - 1.0)))
+    first = 0.5 * (u - 1.0) * w
+    second = 0.5 * (u + 1.0) / w
+    return first + second, first - second
+
+
+def _abs2(a):
+    return a.real ** 2 + a.imag ** 2
 
 
 def singular_fields(ctx: SingularFieldContext, x, z):
     """Complex E and H three-vectors of the singular wave, shape (..., 3).
 
     The profile pair is b0 (U_+, U_-)/u inside the slab and the outgoing
-    wave outside: b0 e^{-i k_z z} (odd part negated) on the left and
-    b0 e^{i k_z (z - L)} on the right.
+    wave b0 e^{i k_z d} outside, d being the distance to the nearer face
+    (odd part negated on the left).
     """
     point = ctx.point
-    wave = point.wave
     L = point.thickness
     z = np.asarray(z, dtype=float)
     u = u_parameter(point.medium, point.theta_deg, point.polarization)
-    left = z < 0
     inside = (z >= 0) & (z <= L)
-    s = np.where(inside, z / L, 0.0)
-    out = ctx.b0 * np.where(left, np.exp(-1j * wave.k_z * z),
-                            np.exp(1j * wave.k_z * (z - L)))
-    psi = np.where(inside, ctx.b0 * u_pm(u, s, +1) / u, out)
-    psi_odd = np.where(inside, ctx.b0 * u_pm(u, s, -1) / u,
-                       np.where(left, -out, out))
-    return assemble_fields(ctx.scenario, wave, psi, psi_odd, x, z)
+    outside = ~inside
+    psi = np.empty(z.shape, dtype=complex)
+    psi_odd = np.empty(z.shape, dtype=complex)
+    plus, minus = _envelopes(u, z[inside] / L)
+    psi[inside] = ctx.b0 / u * plus
+    psi_odd[inside] = ctx.b0 / u * minus
+    z_out = z[outside]
+    left = z_out < 0
+    d = np.where(left, -z_out, z_out - L)
+    out = ctx.b0 * np.exp(1j * point.wave.k_z * d)
+    psi[outside] = out
+    psi_odd[outside] = np.where(left, -out, out)
+    return assemble_fields(ctx.scenario, point.wave, psi, psi_odd, x, z)
 
 
-def _interior_coefficients(ctx: SingularFieldContext, z):
-    """X(z), Z(z), U(z) on 0 <= z <= L for the closed-form S and u."""
+def _interior(ctx: SingularFieldContext, z):
+    """Interior mask of z, U_+ and U_- at the interior points, and the
+    scalars (a, b, c, d) of the closed forms there, in units of the exterior
+    values: S_x = a |U_+|^2 sin(theta), S_z = Re(b U_+ conj(U_-)) cos(theta)
+    and u = c |U_+|^2 + d |U_-|^2."""
     point = ctx.point
-    s = np.asarray(z, dtype=float) / ctx.thickness
     u = u_parameter(point.medium, point.theta_deg, point.polarization)
     ntil = u_parameter(point.medium, point.theta_deg, Polarization.TE)
-    up = u_pm(u, s, +1)
-    um = u_pm(u, s, -1)
+    inside = (z >= 0) & (z <= ctx.thickness)
+    up, um = _envelopes(u, z[inside] / ctx.thickness)
     th = math.radians(point.theta_deg)
     sin2, cos2 = math.sin(th) ** 2, math.cos(th) ** 2
     n2 = point.medium.n ** 2
     abs_ntil2 = abs(ntil) ** 2
     if point.polarization is Polarization.TE:
-        coef_x = np.abs(up / ntil) ** 2
-        coef_z = np.real(up * np.conj(um) / ntil)
-        coef_u = ((n2.real + sin2) * np.abs(up) ** 2
-                  + cos2 * np.abs(ntil * um) ** 2) / (2.0 * abs_ntil2)
+        weights = (1.0 / abs_ntil2, 1.0 / ntil,
+                   (n2.real + sin2) / (2.0 * abs_ntil2), cos2 / 2.0)
     else:
-        coef_x = (np.abs(up) ** 2 / abs_ntil2) * n2.real
-        coef_z = np.real(n2 * up * np.conj(um) / ntil)
-        coef_u = ((abs(n2) ** 2 + sin2 * n2.real) * np.abs(up) ** 2
-                  + cos2 * n2.real * np.abs(ntil * um) ** 2) / (2.0 * abs_ntil2)
-    return coef_x, coef_z, coef_u
+        weights = (n2.real / abs_ntil2, n2 / ntil,
+                   (abs(n2) ** 2 + sin2 * n2.real) / (2.0 * abs_ntil2),
+                   cos2 * n2.real / 2.0)
+    return inside, up, um, weights
 
 
 def poynting(ctx: SingularFieldContext, z) -> np.ndarray:
@@ -121,15 +129,12 @@ def poynting(ctx: SingularFieldContext, z) -> np.ndarray:
     th = math.radians(ctx.point.theta_deg)
     sin_t, cos_t = math.sin(th), math.cos(th)
     s_out = ctx.poynting_out
-    left = z < 0
-    right = z > ctx.thickness
-    inside = ~(left | right)
-    coef_x, coef_z, _ = _interior_coefficients(ctx, np.where(inside, z, 0.0))
-    sx = np.where(inside, coef_x * sin_t, sin_t)
-    sz = np.where(inside, coef_z * cos_t, np.where(left, -cos_t, cos_t))
+    inside, up, um, (a, b, _, _) = _interior(ctx, z)
     out = np.zeros(z.shape + (3,), dtype=float)
-    out[..., 0] = s_out * sx
-    out[..., 2] = s_out * sz
+    out[..., 0] = s_out * sin_t
+    out[..., 2] = np.where(z < 0, s_out * -cos_t, s_out * cos_t)
+    out[inside, 0] = s_out * (a * _abs2(up) * sin_t)
+    out[inside, 2] = s_out * (np.real(b * up * np.conj(um)) * cos_t)
     return out
 
 
@@ -150,22 +155,29 @@ def tilde_theta_deg(ctx: SingularFieldContext) -> float:
 def energy_density(ctx: SingularFieldContext, z):
     """Time-averaged energy density (closed form), J/m^3."""
     z = np.asarray(z, dtype=float)
-    inside = (z >= 0) & (z <= ctx.thickness)
-    _, _, coef_u = _interior_coefficients(ctx, np.where(inside, z, 0.0))
-    result = ctx.energy_out * np.where(inside, coef_u, 1.0)
+    inside, up, um, (_, _, c, d) = _interior(ctx, z)
+    result = np.full(z.shape, ctx.energy_out)
+    result[inside] = ctx.energy_out * (c * _abs2(up) + d * _abs2(um))
     return result if z.ndim else float(result)
 
 
 def poynting_from_fields(ctx: SingularFieldContext, x, z) -> np.ndarray:
     """Direct (1/2) Re(E x H*) from the singular field components."""
     E, H = singular_fields(ctx, x, z)
-    return 0.5 * np.real(np.cross(E, np.conj(H)))
+    # Re(E x H*) = Re E x Re H + Im E x Im H, written out per component
+    out = np.empty(E.shape, dtype=float)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out[..., i] = (E[..., j].real * H[..., k].real
+                       + E[..., j].imag * H[..., k].imag
+                       - E[..., k].real * H[..., j].real
+                       - E[..., k].imag * H[..., j].imag)
+    return 0.5 * out
 
 
 def energy_density_from_fields(ctx: SingularFieldContext, x, z):
     """Direct (1/4)(eps0 Re(zeta)|E|^2 + mu0 |H|^2) from the field components."""
     E, H = singular_fields(ctx, x, z)
     zeta = ctx.scenario.index_profile(z)
-    return 0.25 * (EPSILON_0 * np.real(zeta)
-                   * np.sum(np.abs(E) ** 2, axis=-1)
-                   + MU_0 * np.sum(np.abs(H) ** 2, axis=-1))
+    return 0.25 * (EPSILON_0 * np.real(zeta) * np.sum(_abs2(E), axis=-1)
+                   + MU_0 * np.sum(_abs2(H), axis=-1))

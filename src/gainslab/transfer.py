@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import (
     Z_0,
     k_tilde,
     n_prime,
+    u_from_n_prime,
     u_parameter,
 )
 
@@ -29,6 +31,8 @@ from .core import (
 _MAX_IMAG_PHASE = 700.0
 # |M22| below this fraction of the largest entry counts as a spectral singularity
 SINGULAR_TOL = 1e-12
+# ... as does |M22| below this multiple of k|dM22/dk|: its change over 8 ulps of k
+SINGULAR_SLOPE_TOL = 8 * sys.float_info.epsilon
 
 
 class SpectralSingularityError(RuntimeError):
@@ -41,6 +45,7 @@ class TransferMatrix:
     m12: complex
     m21: complex
     m22: complex
+    k_dm22_dk: complex = 0.0   # k dM22/dk at fixed angle and index
 
     @property
     def det(self) -> complex:
@@ -50,6 +55,14 @@ class TransferMatrix:
     def scale(self) -> float:
         """Magnitude of the largest entry, floored at 1; reference for tolerances."""
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22), 1.0)
+
+    @property
+    def singular(self) -> bool:
+        """|M22| at the rounding level of the entries or of k: a spectral
+        singularity as far as double precision can tell."""
+        m22 = abs(self.m22)
+        return (m22 < SINGULAR_TOL * self.scale
+                or m22 < SINGULAR_SLOPE_TOL * abs(self.k_dm22_dk))
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,9 @@ class CoefficientSet:
 def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMatrix:
     """Assemble M for the given slab and wave; same code path for TE and TM."""
     L = scenario.thickness
-    u = u_parameter(scenario.medium, wave.theta_deg, wave.polarization)
-    delta = k_tilde(scenario.medium, wave) * L
+    n_p = n_prime(scenario.medium, wave.theta_deg)
+    u = u_from_n_prime(n_p, scenario.medium, wave.theta_deg, wave.polarization)
+    delta = wave.k * n_p * L
     if abs(delta.imag) > _MAX_IMAG_PHASE:
         raise OverflowError(
             f"|Im(k_tilde * L)| = {abs(delta.imag):.3g} exceeds the double-precision "
@@ -84,25 +98,30 @@ def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMat
         )
     cos_d = cmath.cos(delta)
     sin_d = cmath.sin(delta)
-    u_sum = 0.5j * (u + 1.0 / u) * sin_d
+    half_sum = 0.5j * (u + 1.0 / u)
+    u_sum = half_sum * sin_d
     u_dif = 0.5j * (u - 1.0 / u) * sin_d
-    phase = cmath.exp(1j * wave.k_z * L)
+    kz_L = wave.k_z * L
+    phase = cmath.exp(1j * kz_L)
+    m22 = (cos_d - u_sum) * phase
     return TransferMatrix(
         m11=(cos_d + u_sum) / phase,
         m12=u_dif / phase,
         m21=-u_dif * phase,
-        m22=(cos_d - u_sum) * phase,
+        m22=m22,
+        # delta and k_z L are both proportional to k
+        k_dm22_dk=1j * kz_L * m22 - delta * (sin_d + half_sum * cos_d) * phase,
     )
 
 
 def scattering_amplitudes(matrix: TransferMatrix) -> ScatteringAmplitudes:
     """Reflection/transmission amplitudes from the matrix entries.
 
-    Raises SpectralSingularityError when |M22| < SINGULAR_TOL * scale, i.e.
-    the system is at (or numerically indistinguishable from) a spectral
+    Raises SpectralSingularityError when the matrix is singular, i.e. the
+    system is at (or numerically indistinguishable from) a spectral
     singularity.
     """
-    if abs(matrix.m22) < SINGULAR_TOL * matrix.scale:
+    if matrix.singular:
         raise SpectralSingularityError(
             f"|M22| = {abs(matrix.m22):.3g} below tolerance: at spectral singularity"
         )
@@ -122,7 +141,7 @@ def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
     if a0 == 0 and b2 == 0:
         raise ValueError("at least one incoming amplitude must be nonzero")
     m = build_transfer_matrix(scenario, wave)
-    if abs(m.m22) < SINGULAR_TOL * m.scale:
+    if m.singular:
         raise SpectralSingularityError(
             "amplitude system is singular: at spectral singularity"
         )
@@ -182,56 +201,29 @@ def assemble_fields(scenario: SlabScenario, wave: WaveSpec, psi, psi_odd,
     """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    L = scenario.thickness
-    inside = (z >= 0) & (z <= L)
+    inside = (z >= 0) & (z <= scenario.thickness)
     sin_t = math.sin(wave.theta_rad)
     cos_t = math.cos(wave.theta_rad)
     phase_x = np.exp(1j * wave.k_x * x)
-    trans = np.where(inside, n_prime(scenario.medium, wave.theta_deg), cos_t) * phase_x
-    zeta = scenario.index_profile(z)
+    n_p = n_prime(scenario.medium, wave.theta_deg)
+    # TE: E_y = psi, H_x = -psi_odd n'/Z_0 (cos theta outside), H_z = psi sin/Z_0
+    # TM: H_y = psi, E_x = Z_0 psi_odd n'/n^2 (cos theta outside),
+    #     E_z = -Z_0 psi sin/n^2 (1 for n^2 outside); all times e^{i k_x x}
+    if wave.polarization is Polarization.TE:
+        odd_in, odd_out = -n_p / Z_0, -cos_t / Z_0
+        long_in = long_out = sin_t / Z_0
+    else:
+        n2 = scenario.medium.n ** 2
+        odd_in, odd_out = Z_0 * n_p / n2, Z_0 * cos_t
+        long_in, long_out = -Z_0 * sin_t / n2, -Z_0 * sin_t
 
     shape = np.broadcast_shapes(psi.shape, phase_x.shape)
     E = np.zeros(shape + (3,), dtype=complex)
     H = np.zeros(shape + (3,), dtype=complex)
-    if wave.polarization is Polarization.TE:
-        E[..., 1] = psi * phase_x
-        H[..., 0] = -psi_odd * trans / Z_0
-        H[..., 2] = sin_t * phase_x * psi / Z_0
-    else:
-        H[..., 1] = psi * phase_x
-        E[..., 0] = Z_0 * psi_odd * trans / zeta
-        E[..., 2] = -Z_0 * sin_t * phase_x * psi / zeta
+    main, other = (E, H) if wave.polarization is Polarization.TE else (H, E)
+    np.multiply(psi, phase_x, out=main[..., 1])
+    np.multiply(psi_odd * phase_x, np.where(inside, odd_in, odd_out),
+                out=other[..., 0])
+    np.multiply(main[..., 1], np.where(inside, long_in, long_out),
+                out=other[..., 2])
     return E, H
-
-
-def boundary_residuals(coeffs: CoefficientSet, scenario: SlabScenario,
-                       wave: WaveSpec) -> float:
-    """Largest relative residual of the four interface matching conditions.
-
-    Each condition is normalized by the magnitude of its largest term, so the
-    result is meaningful even when interior amplitudes grow exponentially.
-    """
-    u = u_parameter(scenario.medium, wave.theta_deg, wave.polarization)
-    kt = k_tilde(scenario.medium, wave)
-    kz = wave.k_z
-    L = scenario.thickness
-    ep, em = cmath.exp(1j * kt * L), cmath.exp(-1j * kt * L)
-    fp, fm = cmath.exp(1j * kz * L), cmath.exp(-1j * kz * L)
-    amp0 = max(abs(coeffs.a0), abs(coeffs.b0), abs(coeffs.a1), abs(coeffs.b1))
-    phase = max(abs(ep), abs(em))
-    ampL = max(abs(coeffs.a1), abs(coeffs.b1)) * phase
-    ampL = max(ampL, abs(coeffs.a2), abs(coeffs.b2))
-    conditions = [
-        ((coeffs.a0, coeffs.b0), (coeffs.a1, coeffs.b1), amp0),
-        ((coeffs.b0, -coeffs.a0), (u * coeffs.b1, -u * coeffs.a1),
-         amp0 * max(abs(u), 1.0)),
-        ((coeffs.a1 * ep, coeffs.b1 * em), (coeffs.a2 * fp, coeffs.b2 * fm),
-         ampL),
-        ((u * coeffs.a1 * ep, -u * coeffs.b1 * em),
-         (coeffs.a2 * fp, -coeffs.b2 * fm), ampL * max(abs(u), 1.0)),
-    ]
-    worst = 0.0
-    for lhs, rhs, scale in conditions:
-        residual = abs(sum(lhs) - sum(rhs))
-        worst = max(worst, residual / max(scale, 1e-300))
-    return worst

@@ -145,6 +145,13 @@ class TestThreshold:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_no_steps_exits_2(self, capsys, steps):
+        code, out, err = run(capsys, "threshold", "--steps", steps)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and "--steps" in err
+
     def test_format_option_rejected(self, capsys):
         # only tmatrix has a JSON form; argparse rejects the option here
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gainslab.core import Z_0, Polarization
+from gainslab.core import Z_0, GainMedium, Polarization, u_parameter
 from gainslab.fields import (
     SingularFieldContext,
+    _envelopes,
     energy_density,
     energy_density_from_fields,
     poynting,
@@ -13,7 +15,6 @@ from gainslab.fields import (
     poynting_from_fields,
     singular_fields,
     tilde_theta_deg,
-    u_pm,
 )
 
 L = 400e-6
@@ -39,46 +40,63 @@ def contexts(ss20_te, ss20_tm, ss80_te, ss80_tm):
 class TestUPm:
     def test_endpoints(self):
         u = 3.6 - 1e-4j
-        assert u_pm(u, 0.0, +1) == pytest.approx(u, rel=1e-14)
-        assert u_pm(u, 1.0, +1) == pytest.approx(u, rel=1e-14)
-        assert u_pm(u, 0.0, -1) == pytest.approx(-1.0, rel=1e-14)
-        assert u_pm(u, 1.0, -1) == pytest.approx(1.0, rel=1e-14)
+        plus, minus = _envelopes(u, np.array([0.0, 1.0]))
+        assert plus == pytest.approx([u, u], rel=1e-14)
+        assert minus == pytest.approx([-1.0, 1.0], rel=1e-14)
 
     def test_midpoint(self):
         u = 3.6 - 1e-4j
+        plus, minus = _envelopes(u, 0.5)
         # geometric mean of u-1 and u+1 at s = 1/2, and exact odd zero
-        assert u_pm(u, 0.5, +1) == pytest.approx(
-            np.sqrt(np.complex128(u * u - 1.0)), rel=1e-14)
-        assert abs(u_pm(u, 0.5, -1)) < 1e-14
+        assert plus == pytest.approx(np.sqrt(np.complex128(u * u - 1.0)),
+                                     rel=1e-14)
+        assert abs(minus) < 1e-14
 
     @settings(max_examples=200, deadline=None)
     @given(complex_u, depths)
     def test_parity(self, u, s):
-        plus = u_pm(u, s, +1)
-        minus = u_pm(u, s, -1)
-        assert u_pm(u, 1.0 - s, +1) == pytest.approx(plus, rel=1e-12,
-                                                     abs=1e-12)
-        assert u_pm(u, 1.0 - s, -1) == pytest.approx(-minus, rel=1e-12,
-                                                     abs=1e-12)
+        plus, minus = _envelopes(u, s)
+        plus_mirror, minus_mirror = _envelopes(u, 1.0 - s)
+        assert plus_mirror == pytest.approx(plus, rel=1e-12, abs=1e-12)
+        assert minus_mirror == pytest.approx(-minus, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(complex_u, depths)
+    # real u < 1 with a negative-zero imaginary part: Arg(u-1) = -pi, where
+    # Log((u+1)/(u-1)) would be 2 pi i away from Log(u+1) - Log(u-1)
+    @example(complex(0.5, -0.0), 0.3)
     def test_sum_is_power_product(self, u, s):
         # sum/difference recover the two defining power products
         first = (u - 1.0) ** (1.0 - s) * (u + 1.0) ** s
         second = (u - 1.0) ** s * (u + 1.0) ** (1.0 - s)
-        assert u_pm(u, s, +1) + u_pm(u, s, -1) == pytest.approx(
-            first, rel=1e-12)
-        assert u_pm(u, s, +1) - u_pm(u, s, -1) == pytest.approx(
-            second, rel=1e-12)
+        plus, minus = _envelopes(u, s)
+        assert plus + minus == pytest.approx(first, rel=1e-12)
+        assert plus - minus == pytest.approx(second, rel=1e-12)
 
-    def test_rejects_degenerate_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            u_pm(1.0, 0.5, +1)
-        with pytest.raises(ValueError):
-            u_pm(3.4, 1.5, +1)
-        with pytest.raises(ValueError):
-            u_pm(3.4, 0.5, 2)
+
+def _envelopes_mp(u, s):
+    """U_+, U_- from the four principal powers, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        u, s = mpmath.mpc(u), mpmath.mpf(s)
+        first = (u - 1) ** (1 - s) * (u + 1) ** s
+        second = (u - 1) ** s * (u + 1) ** (1 - s)
+        return complex((first + second) / 2), complex((first - second) / 2)
+
+
+class TestEnvelopeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(eta=st.floats(1.2, 5.0), log_kappa=st.floats(-7.0, -2.0),
+           theta=st.floats(0.0, 89.9), pol=st.sampled_from(list(Polarization)),
+           s=depths)
+    # TM below Brewster: Re u < 1 puts u - 1 next to the branch cut
+    @example(eta=3.4, log_kappa=-4.0, theta=20.0, pol=Polarization.TM, s=0.3)
+    def test_matches_principal_powers(self, eta, log_kappa, theta, pol, s):
+        u = u_parameter(GainMedium(eta, -10.0 ** log_kappa), theta, pol)
+        plus, minus = _envelopes(u, s)
+        ref_plus, ref_minus = _envelopes_mp(u, s)
+        scale = max(abs(ref_plus), abs(ref_minus))
+        assert abs(plus - ref_plus) <= 1e-14 * scale
+        assert abs(minus - ref_minus) <= 1e-14 * scale
 
 
 class TestSingularFields:
@@ -148,6 +166,22 @@ class TestSingularFields:
                                            np.linspace(L + 1e-9, 1.5 * L, 51))
             assert np.all(S_left[:, 2] < 0)
             assert np.all(S_right[:, 2] > 0)
+
+    def test_subsets_match_whole_grid(self, contexts):
+        # interior and exterior points evaluated apart give the same fields
+        # as one N-d grid crossing both faces, with x broadcast against z
+        z = np.linspace(-0.3 * L, 1.3 * L, 15).reshape(3, 5)
+        x = np.array([[0.0], [0.4e-6], [1.1e-6]])
+        xz = np.broadcast_to(x, z.shape)
+        inside = (z >= 0) & (z <= L)
+        for ctx in contexts.values():
+            E, H = singular_fields(ctx, x, z)
+            assert E.shape == H.shape == (3, 5, 3)
+            for part in (inside, ~inside):
+                E_part, H_part = singular_fields(ctx, xz[part], z[part])
+                for whole, sub in ((E, E_part), (H, H_part)):
+                    assert np.max(np.abs(whole[part] - sub)) <= 1e-15 * np.max(
+                        np.abs(whole))
 
     def test_amplitude_scales_linearly(self, ss20_tm):
         one = SingularFieldContext(ss20_tm, b0=1.0)
