@@ -144,12 +144,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_singularity(args: argparse.Namespace) -> int:
-    try:
-        point = solve_singularity(args.eta, args.theta, args.L, args.pol,
-                                  m=args.m, target_wavelength=args.target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    point = solve_singularity(args.eta, args.theta, args.L, args.pol,
+                              m=args.m, target_wavelength=args.target)
     payload = {
         "metadata": _metadata(args),
         "result": {
@@ -188,12 +184,8 @@ def cmd_locus(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
-    try:
-        point = solve_singularity(args.eta, args.theta, args.L, args.pol,
-                                  m=args.m, target_wavelength=args.target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    point = solve_singularity(args.eta, args.theta, args.L, args.pol,
+                              m=args.m, target_wavelength=args.target)
     ctx = SingularFieldContext(point)
     L = point.thickness
     z = np.linspace(-0.5 * L, 1.5 * L, args.points)

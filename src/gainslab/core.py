@@ -118,8 +118,7 @@ def n_prime(medium: GainMedium, theta_deg: float) -> complex:
     strictly positive real part and its imaginary part carries the sign of
     kappa.
     """
-    s = math.sin(math.radians(theta_deg))
-    return cmath.sqrt(medium.n ** 2 - s * s)
+    return incidence(medium, theta_deg, Polarization.TE)[0]
 
 
 def u_parameter(medium: GainMedium, theta_deg: float,
@@ -127,17 +126,20 @@ def u_parameter(medium: GainMedium, theta_deg: float,
     """Interface mismatch parameter: n'/cos(theta) for TE, n'/(n^2 cos(theta)) for TM."""
     if not abs(theta_deg) < 90.0:
         raise ValueError("u is singular at grazing incidence (|theta| = 90 degrees)")
-    return u_from_n_prime(n_prime(medium, theta_deg), medium, theta_deg,
-                          polarization)
+    return incidence(medium, theta_deg, polarization)[1]
 
 
-def u_from_n_prime(n_p: complex, medium: GainMedium, theta_deg: float,
-                   polarization: Polarization) -> complex:
-    """u_parameter for an n' already in hand."""
-    u = n_p / math.cos(math.radians(theta_deg))
+def incidence(medium: GainMedium, theta_deg: float, polarization: Polarization
+              ) -> tuple[complex, complex, float, float]:
+    """n', u, sin and cos of theta from one radians/sin/cos; unchecked."""
+    th = math.radians(theta_deg)
+    sin_t, cos_t = math.sin(th), math.cos(th)
+    n2 = medium.n ** 2
+    n_p = cmath.sqrt(n2 - sin_t * sin_t)
+    u = n_p / cos_t
     if polarization is Polarization.TM:
-        u = u / medium.n ** 2
-    return u
+        u = u / n2
+    return n_p, u, sin_t, cos_t
 
 
 def k_tilde(medium: GainMedium, wave: WaveSpec) -> complex:

@@ -79,7 +79,7 @@ def singular_fields(ctx: SingularFieldContext, x, z):
     wave b0 e^{i k_z d} outside, d being the distance to the nearer face
     (odd part negated on the left).
     """
-    point = ctx.point
+    point, wave = ctx.point, ctx.point.wave
     L = point.thickness
     z = np.asarray(z, dtype=float)
     u = u_parameter(point.medium, point.theta_deg, point.polarization)
@@ -92,11 +92,14 @@ def singular_fields(ctx: SingularFieldContext, x, z):
     psi_odd[inside] = ctx.b0 / u * minus
     z_out = z[outside]
     left = z_out < 0
-    d = np.where(left, -z_out, z_out - L)
-    out = ctx.b0 * np.exp(1j * point.wave.k_z * d)
+    phase = wave.k_z * np.where(left, -z_out, z_out - L)
+    out = np.empty(phase.shape, dtype=complex)   # e^{i k_z d} as cos + i sin
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out = ctx.b0 * out
     psi[outside] = out
     psi_odd[outside] = np.where(left, -out, out)
-    return assemble_fields(ctx.scenario, point.wave, psi, psi_odd, x, z)
+    return assemble_fields(ctx.scenario, wave, psi, psi_odd, x, z)
 
 
 def _interior(ctx: SingularFieldContext, z):
@@ -130,12 +133,12 @@ def poynting(ctx: SingularFieldContext, z) -> np.ndarray:
     sin_t, cos_t = math.sin(th), math.cos(th)
     s_out = ctx.poynting_out
     inside, up, um, (a, b, _, _) = _interior(ctx, z)
-    out = np.zeros(z.shape + (3,), dtype=float)
-    out[..., 0] = s_out * sin_t
-    out[..., 2] = np.where(z < 0, s_out * -cos_t, s_out * cos_t)
-    out[inside, 0] = s_out * (a * _abs2(up) * sin_t)
-    out[inside, 2] = s_out * (np.real(b * up * np.conj(um)) * cos_t)
-    return out
+    out = np.zeros((3,) + z.shape)     # component-major, like the fields
+    out[0, ...] = s_out * sin_t
+    out[2, ...] = np.where(z < 0, s_out * -cos_t, s_out * cos_t)
+    out[0, inside] = s_out * (a * _abs2(up) * sin_t)
+    out[2, inside] = s_out * (np.real(b * up * np.conj(um)) * cos_t)
+    return np.moveaxis(out, 0, -1)
 
 
 def poynting_angle_deg(ctx: SingularFieldContext, z):
@@ -165,19 +168,20 @@ def poynting_from_fields(ctx: SingularFieldContext, x, z) -> np.ndarray:
     """Direct (1/2) Re(E x H*) from the singular field components."""
     E, H = singular_fields(ctx, x, z)
     # Re(E x H*) = Re E x Re H + Im E x Im H, written out per component
-    out = np.empty(E.shape, dtype=float)
+    out = np.empty((3,) + E.shape[:-1])     # component-major
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        out[..., i] = (E[..., j].real * H[..., k].real
+        out[i, ...] = (E[..., j].real * H[..., k].real
                        + E[..., j].imag * H[..., k].imag
                        - E[..., k].real * H[..., j].real
                        - E[..., k].imag * H[..., j].imag)
-    return 0.5 * out
+    return np.moveaxis(0.5 * out, 0, -1)
 
 
 def energy_density_from_fields(ctx: SingularFieldContext, x, z):
     """Direct (1/4)(eps0 Re(zeta)|E|^2 + mu0 |H|^2) from the field components."""
     E, H = singular_fields(ctx, x, z)
     zeta = ctx.scenario.index_profile(z)
-    return 0.25 * (EPSILON_0 * np.real(zeta) * np.sum(_abs2(E), axis=-1)
-                   + MU_0 * np.sum(_abs2(H), axis=-1))
+    e2, h2 = (_abs2(f[..., 0]) + _abs2(f[..., 1]) + _abs2(f[..., 2])
+              for f in (E, H))     # one contiguous component at a time
+    return 0.25 * (EPSILON_0 * np.real(zeta) * e2 + MU_0 * h2)

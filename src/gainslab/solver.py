@@ -215,8 +215,10 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
 def _closed_form_gain(eta, theta_deg, thickness, polarization: Polarization):
     """threshold_gain_approx elementwise, unchecked: inf at TM Brewster."""
     th = np.radians(theta_deg)
-    etap = np.sqrt(eta * eta - np.sin(th) ** 2)
-    with np.errstate(divide="ignore"):
+    # not finite for TE at eta <= 1 or where sin(theta) > eta: the kappa
+    # solve then starts from its range end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        etap = np.sqrt(eta * eta - np.sin(th) ** 2)
         if polarization is Polarization.TE:
             return (4.0 * etap / (thickness * eta)) * np.log(
                 np.abs(etap + np.cos(th)) / np.sqrt(eta * eta - 1.0))
@@ -342,13 +344,16 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
     from the phase condition, and up to three Newton steps in it absorb the
     rounding of k = 2 pi / wavelength in the complex residual.
     """
+    GainMedium(eta)                          # eta > 0, before any solve
     if m is None:
         if target_wavelength is None:
             raise ValueError("give either a mode number or a target wavelength")
         m = select_mode_number(eta, theta_deg, thickness, target_wavelength,
                                polarization)
-    lam = ss_wavelength(eta, 0.0, theta_deg, thickness, m, polarization,
-                        approx=True)
+    elif m < 1:
+        raise ValueError("mode number must be >= 1")
+    lam = (2.0 * thickness * eta / m) * math.sqrt(     # 2 L eta' / m
+        1.0 - math.sin(math.radians(theta_deg)) ** 2 / eta ** 2)
     seed = -_closed_form_gain(eta, theta_deg, thickness,
                               polarization) * lam / (4.0 * math.pi)
     kappa = float(_solve_kappa(lambda q: (eta, q), _phase_k(m, thickness),

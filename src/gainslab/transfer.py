@@ -10,7 +10,6 @@ than from exponential differences, which avoids cancellation for large
 from __future__ import annotations
 
 import cmath
-import math
 import sys
 from dataclasses import dataclass
 
@@ -21,9 +20,8 @@ from .core import (
     SlabScenario,
     WaveSpec,
     Z_0,
+    incidence,
     k_tilde,
-    n_prime,
-    u_from_n_prime,
     u_parameter,
 )
 
@@ -61,7 +59,8 @@ class TransferMatrix:
         """|M22| at the rounding level of the entries or of k: a spectral
         singularity as far as double precision can tell."""
         m22 = abs(self.m22)
-        return (m22 < SINGULAR_TOL * self.scale
+        scale = max(abs(self.m11), abs(self.m12), abs(self.m21), m22, 1.0)
+        return (m22 < SINGULAR_TOL * scale
                 or m22 < SINGULAR_SLOPE_TOL * abs(self.k_dm22_dk))
 
 
@@ -88,9 +87,10 @@ class CoefficientSet:
 def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMatrix:
     """Assemble M for the given slab and wave; same code path for TE and TM."""
     L = scenario.thickness
-    n_p = n_prime(scenario.medium, wave.theta_deg)
-    u = u_from_n_prime(n_p, scenario.medium, wave.theta_deg, wave.polarization)
-    delta = wave.k * n_p * L
+    k = wave.k
+    n_p, u, _, cos_t = incidence(scenario.medium, wave.theta_deg,
+                                 wave.polarization)
+    delta = k * n_p * L
     if abs(delta.imag) > _MAX_IMAG_PHASE:
         raise OverflowError(
             f"|Im(k_tilde * L)| = {abs(delta.imag):.3g} exceeds the double-precision "
@@ -98,20 +98,18 @@ def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMat
         )
     cos_d = cmath.cos(delta)
     sin_d = cmath.sin(delta)
-    half_sum = 0.5j * (u + 1.0 / u)
+    inv_u = 1.0 / u
+    half_sum = 0.5j * (u + inv_u)
     u_sum = half_sum * sin_d
-    u_dif = 0.5j * (u - 1.0 / u) * sin_d
-    kz_L = wave.k_z * L
+    u_dif = 0.5j * (u - inv_u) * sin_d
+    kz_L = k * cos_t * L
     phase = cmath.exp(1j * kz_L)
     m22 = (cos_d - u_sum) * phase
-    return TransferMatrix(
-        m11=(cos_d + u_sum) / phase,
-        m12=u_dif / phase,
-        m21=-u_dif * phase,
-        m22=m22,
-        # delta and k_z L are both proportional to k
-        k_dm22_dk=1j * kz_L * m22 - delta * (sin_d + half_sum * cos_d) * phase,
-    )
+    # delta and k_z L are both proportional to k
+    k_dm22_dk = 1j * kz_L * m22 - delta * (sin_d + half_sum * cos_d) * phase
+    # positional: keyword parsing costs about a quarter of the construction
+    return TransferMatrix((cos_d + u_sum) / phase, u_dif / phase,
+                          -u_dif * phase, m22, k_dm22_dk)
 
 
 def scattering_amplitudes(matrix: TransferMatrix) -> ScatteringAmplitudes:
@@ -125,12 +123,10 @@ def scattering_amplitudes(matrix: TransferMatrix) -> ScatteringAmplitudes:
         raise SpectralSingularityError(
             f"|M22| = {abs(matrix.m22):.3g} below tolerance: at spectral singularity"
         )
-    return ScatteringAmplitudes(
-        r_left=-matrix.m21 / matrix.m22,
-        r_right=matrix.m12 / matrix.m22,
-        t_left=matrix.det / matrix.m22,
-        t_right=1.0 / matrix.m22,
-    )
+    m11, m12, m21, m22 = matrix.m11, matrix.m12, matrix.m21, matrix.m22
+    # r_left, r_right, t_left = det/M22, t_right
+    return ScatteringAmplitudes(-m21 / m22, m12 / m22,
+                                (m11 * m22 - m12 * m21) / m22, 1.0 / m22)
 
 
 def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
@@ -202,10 +198,9 @@ def assemble_fields(scenario: SlabScenario, wave: WaveSpec, psi, psi_odd,
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     inside = (z >= 0) & (z <= scenario.thickness)
-    sin_t = math.sin(wave.theta_rad)
-    cos_t = math.cos(wave.theta_rad)
-    phase_x = np.exp(1j * wave.k_x * x)
-    n_p = n_prime(scenario.medium, wave.theta_deg)
+    n_p, _, sin_t, cos_t = incidence(scenario.medium, wave.theta_deg,
+                                     wave.polarization)
+    phase_x = np.exp(1j * (wave.k * sin_t) * x)
     # TE: E_y = psi, H_x = -psi_odd n'/Z_0 (cos theta outside), H_z = psi sin/Z_0
     # TM: H_y = psi, E_x = Z_0 psi_odd n'/n^2 (cos theta outside),
     #     E_z = -Z_0 psi sin/n^2 (1 for n^2 outside); all times e^{i k_x x}
@@ -217,13 +212,18 @@ def assemble_fields(scenario: SlabScenario, wave: WaveSpec, psi, psi_odd,
         odd_in, odd_out = Z_0 * n_p / n2, Z_0 * cos_t
         long_in, long_out = -Z_0 * sin_t / n2, -Z_0 * sin_t
 
-    shape = np.broadcast_shapes(psi.shape, phase_x.shape)
-    E = np.zeros(shape + (3,), dtype=complex)
-    H = np.zeros(shape + (3,), dtype=complex)
+    # component-major: each component contiguous, the three zero ones untouched
+    shape = (3,) + np.broadcast_shapes(psi.shape, phase_x.shape)
+    E = np.zeros(shape, dtype=complex)
+    H = np.zeros(shape, dtype=complex)
     main, other = (E, H) if wave.polarization is Polarization.TE else (H, E)
-    np.multiply(psi, phase_x, out=main[..., 1])
-    np.multiply(psi_odd * phase_x, np.where(inside, odd_in, odd_out),
-                out=other[..., 0])
-    np.multiply(main[..., 1], np.where(inside, long_in, long_out),
-                out=other[..., 2])
-    return E, H
+    # [i, ...] keeps a 0-d component an array that out= can write to
+    transverse, odd, longitudinal = main[1, ...], other[0, ...], other[2, ...]
+    np.multiply(psi, phase_x, out=transverse)
+    # longitudinal holds psi_odd e^{i k_x x} first: numpy rounds a one-element
+    # in-place complex product differently from the same product on an array
+    np.multiply(psi_odd, phase_x, out=longitudinal)
+    np.multiply(longitudinal, np.where(inside, odd_in, odd_out), out=odd)
+    np.multiply(transverse, np.where(inside, long_in, long_out),
+                out=longitudinal)
+    return np.moveaxis(E, 0, -1), np.moveaxis(H, 0, -1)

@@ -182,11 +182,50 @@ class TestSingularity:
             ss20_te.wavelength * 1e9, rel=1e-12)
 
     def test_solver_failure_exits_4(self, capsys):
+        # a 50 nm slab has no threshold with |kappa| <= 0.1 for mode 1
         code, _, err = run(capsys, "singularity", "--eta", "3.4",
-                           "--theta", "20", "--L", "400um", "--pol", "TE",
-                           "--m", "-5")
+                           "--theta", "20", "--L", "50nm", "--pol", "TE",
+                           "--m", "1")
         assert code == EXIT_SOLVER
-        assert "error" in err
+        assert "no gain solution" in err
+
+
+SLAB = ["--theta", "20", "--L", "400um", "--pol", "TE"]
+
+
+class TestEdgeInputs:
+    """Edge inputs give a value or a typed error, never a traceback or a
+    numpy warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,code,message", [
+        # eta = 1 once divided by eta^2 - 1 in the wavelength seed
+        (["singularity", "--eta", "1.0", *SLAB, "--target", "1500nm"],
+         EXIT_OK, ""),
+        (["fields", "--eta", "1.0", *SLAB, "--target", "1500nm",
+          "--points", "11"], EXIT_OK, ""),
+        # a slab less dense than vacuum: the closed-form seed is NaN
+        (["singularity", "--eta", "0.8", *SLAB, "--target", "1500nm"],
+         EXIT_OK, ""),
+        (["singularity", "--eta", "3.4", *SLAB, "--m", "0"],
+         EXIT_VALIDATION, "mode number must be >= 1"),
+        (["fields", "--eta", "3.4", *SLAB, "--m", "-5"],
+         EXIT_VALIDATION, "mode number must be >= 1"),
+        (["singularity", "--eta", "-1", *SLAB, "--target", "1500nm"],
+         EXIT_VALIDATION, "eta must be positive"),
+        (["fields", "--eta", "-1", *SLAB, "--m", "3"],
+         EXIT_VALIDATION, "eta must be positive"),
+        (["threshold", "--steps", "0"], EXIT_VALIDATION, "--steps"),
+    ])
+    def test_exit_code_and_message(self, capsys, argv, code, message):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            assert out and err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and message in err
 
 
 class TestLocus:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gainslab.core import Z_0, GainMedium, Polarization, u_parameter
+from gainslab.core import (
+    EPSILON_0,
+    MU_0,
+    Z_0,
+    GainMedium,
+    Polarization,
+    u_parameter,
+)
 from gainslab.fields import (
     SingularFieldContext,
     _envelopes,
@@ -190,6 +197,44 @@ class TestSingularFields:
         E2, H2 = singular_fields(two, 0.0, 0.4 * L)
         assert E2 == pytest.approx(2.0j * E1)
         assert H2 == pytest.approx(2.0j * H1)
+
+
+# z of shape (N,) and (3, 5) crossing both faces, and a 0-d interior point
+GRIDS = {
+    "1d": np.linspace(-0.3 * L, 1.3 * L, 7),
+    "2d": np.linspace(-0.3 * L, 1.3 * L, 15).reshape(3, 5),
+    "0d": np.array(0.4 * L),
+}
+
+
+class TestFieldConsumers:
+    """poynting_from_fields and energy_density_from_fields against numpy
+    oracles on the E and H that singular_fields returns, whatever the
+    memory layout behind their (..., 3) shape."""
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("name", ["te20", "tm20"])
+    def test_poynting_is_half_real_cross_product(self, contexts, name, grid):
+        ctx, z = contexts[name], GRIDS[grid]
+        E, H = singular_fields(ctx, 0.0, z)
+        assert E.shape == H.shape == z.shape + (3,)
+        S = poynting_from_fields(ctx, 0.0, z)
+        oracle = 0.5 * np.real(np.cross(E, H.conj()))
+        assert S.shape == oracle.shape == z.shape + (3,)
+        scale = np.max(np.abs(E)) * np.max(np.abs(H))
+        assert np.max(np.abs(S - oracle)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("name", ["te20", "tm20"])
+    def test_energy_is_explicit_sum(self, contexts, name, grid):
+        ctx, z = contexts[name], GRIDS[grid]
+        E, H = singular_fields(ctx, 0.0, z)
+        zeta = np.where((z >= 0) & (z <= L), ctx.point.medium.n ** 2, 1.0)
+        oracle = 0.25 * (EPSILON_0 * zeta.real * np.sum(np.abs(E) ** 2, -1)
+                         + MU_0 * np.sum(np.abs(H) ** 2, -1))
+        u = energy_density_from_fields(ctx, 0.0, z)
+        assert np.shape(u) == z.shape
+        assert np.max(np.abs(u - oracle)) <= 1e-14 * np.max(oracle)
 
 
 class TestPoynting:

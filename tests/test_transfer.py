@@ -251,6 +251,35 @@ class TestGeneralFields:
         for lo, hi in tang:
             assert lo == pytest.approx(hi, rel=1e-7)  # limited by eps offset
 
+    @pytest.mark.parametrize("pol", list(Polarization))
+    @pytest.mark.parametrize("z", [
+        np.linspace(-0.5e-6, 2.0e-6, 7),
+        np.linspace(-0.5e-6, 2.0e-6, 15).reshape(3, 5),
+        np.array(0.7e-6),
+    ])
+    def test_layout_and_component_placement(self, pol, z):
+        # shape (..., 3) for every shape of z, each point as when evaluated
+        # alone, and E x H* from np.cross as written out from the nonzero
+        # components: TE (Ey Hz*, 0, -Ey Hx*), TM (-Ez Hy*, 0, Ex Hy*)
+        w = WaveSpec(self.w.k, self.w.theta_deg, pol)
+        c = propagate_coefficients(self.sc, w, a0=1.0, b2=0.3j)
+        E, H = general_fields(self.sc, w, c, 0.2e-6, z)
+        assert E.shape == H.shape == z.shape + (3,)
+        for idx in np.ndindex(z.shape):
+            E_i, H_i = general_fields(self.sc, w, c, 0.2e-6, z[idx])
+            assert np.array_equal(E[idx], E_i)
+            assert np.array_equal(H[idx], H_i)
+        cross = np.cross(E, H.conj())
+        if pol is Polarization.TE:
+            expected = (E[..., 1] * H[..., 2].conj(), 0.0,
+                        -E[..., 1] * H[..., 0].conj())
+        else:
+            expected = (-E[..., 2] * H[..., 1].conj(), 0.0,
+                        E[..., 0] * H[..., 1].conj())
+        scale = np.max(np.abs(E)) * np.max(np.abs(H))
+        for i in range(3):
+            assert np.max(np.abs(cross[..., i] - expected[i])) <= 1e-15 * scale
+
     def test_tm_ez_jump_is_inverse_n_squared(self):
         c = propagate_coefficients(self.sc_tm, self.w_tm, a0=1.0)
         eps = 1e-12 * self.sc.thickness
