@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GainMedium, Polarization
-from .solver import (_closed_form_gain, _modulus_kernel, _phase_k,
-                     _phase_wavelength, _residual, _solve_kappa)
+from .solver import (_angle_terms, _closed_form_gain, _modulus_kernel,
+                     _phase_k, _phase_wavelength, _residual, _solve_kappa)
 
 LOCUS_RESIDUAL_TOL = 1e-10
 LOCUS_ROUNDS = 50          # cap on wavelength updates (8-22 for L 20um-2mm)
@@ -143,19 +143,19 @@ def trace_locus(medium: TwoLevelMedium, thickness: float, theta_deg: float,
         m = np.where(np.array(m_values) >= 1, m_values, np.nan)
         lam = 2.0 * thickness * math.sqrt(
             medium.n0 ** 2 - math.sin(math.radians(theta_deg)) ** 2) / m
-        kappa0 = -_closed_form_gain(medium.n0, theta_deg, thickness,
+        angle = _angle_terms(theta_deg)
+        kappa0 = -_closed_form_gain(medium.n0, angle, thickness,
                                     polarization) * lam / (4.0 * math.pi)
         for _ in range(LOCUS_ROUNDS):
             index = _index_map(medium, lam, full_model)
-            kappa0 = _solve_kappa(index, _phase_k(m, thickness), theta_deg,
+            kappa0 = _solve_kappa(index, _phase_k(m, thickness), angle,
                                   thickness, polarization, kappa0)
-            npr, r, _ = _modulus_kernel(*index(kappa0), theta_deg, thickness,
-                                        polarization)
+            npr, r = _modulus_kernel(*index(kappa0), angle, polarization)
             lam, last = _phase_wavelength(npr, r, m, thickness), lam
             if not np.any(np.abs(lam - last) > 1e-15 * lam):   # NaN: failed
                 break
-        npr, r, _ = _modulus_kernel(*_index_map(medium, lam, full_model)(
-            kappa0), theta_deg, thickness, polarization)
+        npr, r = _modulus_kernel(*_index_map(medium, lam, full_model)(
+            kappa0), angle, polarization)
         residual = np.abs(_residual(npr, r, 2.0 * math.pi / lam, thickness))
         g0 = g0_from_kappa0(medium, kappa0)
         ok = (residual <= LOCUS_RESIDUAL_TOL) & (g0 > 0)

@@ -95,32 +95,40 @@ class ThresholdCurve:
     g_max: float | None = None         # TM only, 1/m
 
 
-def _modulus_kernel(eta, kappa, theta_deg, thickness,
-                    polarization: Polarization):
-    """n', r = (n' - n^l cos)/(n' + n^l cos) and the modulus wavenumber
-    k = ln|r| / (L Im n'), elementwise over arguments that broadcast."""
+def _angle_terms(theta_deg):
+    """sin^2(theta) and cos(theta), the kernel's terms of theta, elementwise."""
     th = np.radians(theta_deg)
+    return np.sin(th) ** 2, np.cos(th)
+
+
+def _modulus_kernel(eta, kappa, angle, polarization: Polarization):
+    """n' and r = (n' - n^l cos)/(n' + n^l cos), elementwise over arguments
+    that broadcast, from angle = _angle_terms(theta) computed once by the
+    caller; no np.errstate here, and k is left to _modulus_k."""
+    sin2, cos_t = angle
     n = eta + 1j * np.asarray(kappa, dtype=float)
-    npr = np.sqrt(n * n - np.sin(th) ** 2)
-    term = n ** polarization.ell * np.cos(th)
-    r = (npr - term) / (npr + term)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.log(np.abs(r)) / (thickness * npr.imag)
-    return npr, r, k
+    npr = np.sqrt(n * n - sin2)
+    term = n ** polarization.ell * cos_t
+    return npr, (npr - term) / (npr + term)
+
+
+def _modulus_k(npr, r, thickness):
+    """k = ln|r| / (L Im n'); the caller holds np.errstate for Im n' = 0."""
+    return np.log(np.abs(r)) / (thickness * npr.imag)
 
 
 def reflection_ratio(medium: GainMedium, theta_deg: float,
                      polarization: Polarization) -> complex:
     """Interface ratio r = (n' - n^l cos)/(n' + n^l cos); equals (u-1)/(u+1)."""
-    return complex(_modulus_kernel(medium.eta, medium.kappa, theta_deg, 1.0,
-                                   polarization)[1])
+    return complex(_modulus_kernel(medium.eta, medium.kappa,
+                                   _angle_terms(theta_deg), polarization)[1])
 
 
 def singularity_residual(medium: GainMedium, theta_deg: float, thickness: float,
                          k: float, polarization: Polarization) -> complex:
     """exp(-2i k_tilde L) - r^2; zero exactly at a spectral singularity."""
-    npr, r, _ = _modulus_kernel(medium.eta, medium.kappa, theta_deg,
-                                thickness, polarization)
+    npr, r = _modulus_kernel(medium.eta, medium.kappa,
+                             _angle_terms(theta_deg), polarization)
     return complex(_residual(npr, r, k, thickness))
 
 
@@ -130,41 +138,46 @@ def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
     """Exact threshold gain of the singular mode carried by a given kappa < 0."""
     if kappa >= 0:
         raise ValueError("gain requires kappa < 0")
-    k = float(_modulus_kernel(eta, kappa, theta_deg, thickness,
-                              polarization)[2])
-    return -2.0 * k * kappa
+    npr, r = _modulus_kernel(eta, kappa, _angle_terms(theta_deg), polarization)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -2.0 * float(_modulus_k(npr, r, thickness)) * kappa
 
 
-def _solve_kappa(index, k, theta_deg, thickness: float,
+def _solve_kappa(index, k, angle, thickness: float,
                  polarization: Polarization, seed) -> np.ndarray:
     """q with h = L Im n' (K - k_mod) = 0 for the slab index index(q) and
-    K = k(n', r), elementwise, NaN where h has no sign change over
-    KAPPA_RANGE.  h is nearly linear in q.  Secant steps, from the seed and
-    the range end across the root, stay in a bracket (at first the range)
-    that each evaluation narrows; a step that is not finite, leaves it or
-    follows one that did not lower |h| becomes a geometric bisection."""
+    K = k(n', r), elementwise over seed (which has the solve's full shape),
+    NaN where h has no sign change over KAPPA_RANGE.  h is nearly linear in
+    q.  Secant steps, from the seed and the range end across the root, stay
+    in a bracket (at first the range) that each evaluation narrows; a step
+    that is not finite, leaves it or follows one that did not lower |h|
+    becomes a geometric bisection.  The caller computes angle =
+    _angle_terms(theta) once; both range ends take one kernel call, and the
+    solve one np.errstate."""
 
     def h(q):
-        npr, r, k_mod = _modulus_kernel(*index(q), theta_deg, thickness,
-                                        polarization)
-        return thickness * npr.imag * (k(npr, r) - k_mod)
+        npr, r = _modulus_kernel(*index(q), angle, polarization)
+        return thickness * npr.imag * (k(npr, r)
+                                       - _modulus_k(npr, r, thickness))
 
     with np.errstate(all="ignore"):
         a, b = KAPPA_RANGE                   # h(a) < 0 < h(b) where a root is
-        ha, hb = h(a), h(b)
-        x = np.clip(np.nan_to_num(seed, nan=a), a, b)  # -inf, NaN -> a
+        ha, hb = h(np.reshape(KAPPA_RANGE, (2,) + (1,) * np.ndim(seed)))
+        x = np.minimum(np.fmax(seed, a), b)  # NaN, -inf -> a; inf -> b
         x = np.where((ha < 0) & (hb > 0), x, np.nan)
         hx = h(x)
         xp, hp = np.where(hx > 0, a, b), np.where(hx > 0, ha, hb)
+        a, b = np.full(x.shape, a), np.full(x.shape, b)   # narrowed in place
         done = stalled = np.isnan(hx) | (hx == 0)
         for _ in range(100):
-            if done.all():
+            if not np.count_nonzero(~done):
                 break
             s = x - hx * (x - xp) / (hx - hp)
             new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
-            new = np.where(done, x, new)     # a finished entry stays put
+            np.copyto(new, x, where=done)    # a finished entry stays put
             hn = h(new)
-            a, b = np.where(hn < 0, new, a), np.where(hn > 0, new, b)
+            np.copyto(a, new, where=hn < 0)
+            np.copyto(b, new, where=hn > 0)
             stalled = np.abs(hn) >= np.abs(hx)
             done = done | np.isnan(hn) | (hn == 0) | (
                 np.abs(new - x) <= 1e-15 * np.abs(new))
@@ -172,17 +185,20 @@ def _solve_kappa(index, k, theta_deg, thickness: float,
     return np.where(done & ~np.isnan(hx), x, np.nan)
 
 
-def _threshold_kappa(eta: float, theta_deg, thickness: float, k: float,
-                     polarization: Polarization) -> np.ndarray:
-    """Threshold kappa at a fixed k per angle, from the seed -g_approx/(2k)."""
-    seed = -_closed_form_gain(eta, theta_deg, thickness, polarization) / (2 * k)
-    return _solve_kappa(lambda q: (eta, q), lambda npr, r: k, theta_deg,
-                        thickness, polarization, seed)
+def _threshold_kappa(eta: float, angle, thickness: float, k: float,
+                     polarization: Polarization, gain=None) -> np.ndarray:
+    """Threshold kappa at a fixed k per angle, seeded by -gain/(2k) from the
+    closed-form gain (computed here unless given)."""
+    if gain is None:
+        gain = _closed_form_gain(eta, angle, thickness, polarization)
+    return _solve_kappa(lambda q: (eta, q), lambda npr, r: k, angle,
+                        thickness, polarization, -gain / (2 * k))
 
 
 def _phase_k(m, thickness: float):
     """K(n', r) = (pi m - phi) / (L Re n') of mode m's phase condition."""
-    return lambda npr, r: (np.pi * m - np.angle(r)) / (thickness * npr.real)
+    return lambda npr, r: ((np.pi * m - np.arctan2(r.imag, r.real))
+                           / (thickness * npr.real))
 
 
 def _phase_wavelength(npr, r, m, thickness):
@@ -206,23 +222,24 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
     effect on g.
     """
     k = 2.0 * math.pi / target_wavelength
-    kappa = float(_threshold_kappa(eta, theta_deg, thickness, k, polarization))
+    kappa = float(_threshold_kappa(eta, _angle_terms(theta_deg), thickness, k,
+                                   polarization))
     if math.isnan(kappa):
         raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
     return kappa, -2.0 * k * kappa
 
 
-def _closed_form_gain(eta, theta_deg, thickness, polarization: Polarization):
+def _closed_form_gain(eta, angle, thickness, polarization: Polarization):
     """threshold_gain_approx elementwise, unchecked: inf at TM Brewster."""
-    th = np.radians(theta_deg)
+    sin2, cos_t = angle
     # not finite for TE at eta <= 1 or where sin(theta) > eta: the kappa
     # solve then starts from its range end
     with np.errstate(divide="ignore", invalid="ignore"):
-        etap = np.sqrt(eta * eta - np.sin(th) ** 2)
+        etap = np.sqrt(eta * eta - sin2)
         if polarization is Polarization.TE:
             return (4.0 * etap / (thickness * eta)) * np.log(
-                np.abs(etap + np.cos(th)) / np.sqrt(eta * eta - 1.0))
-        e2c = eta * eta * np.cos(th)
+                np.abs(etap + cos_t) / np.sqrt(eta * eta - 1.0))
+        e2c = eta * eta * cos_t
         return (2.0 * etap / (thickness * eta)) * np.log(
             np.abs((etap + e2c) / (etap - e2c)))
 
@@ -241,7 +258,8 @@ def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
             and abs(theta_deg - brewster_angle(eta)) < BREWSTER_GUARD_DEG):
         raise ValueError("TM leading-order formula is singular within "
                          f"{BREWSTER_GUARD_DEG} deg of Brewster's angle")
-    return float(_closed_form_gain(eta, theta_deg, thickness, polarization))
+    return float(_closed_form_gain(eta, _angle_terms(theta_deg), thickness,
+                                   polarization))
 
 
 def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
@@ -258,8 +276,12 @@ def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
     if approx:
         return _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m,
                                      polarization)
-    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
-                                polarization)
+    return _mode_wavelength(*_modulus_kernel(
+        eta, kappa, _angle_terms(theta_deg), polarization), m, thickness)
+
+
+def _mode_wavelength(npr, r, m, thickness) -> float:
+    """ss_wavelength's exact form from n' and r."""
     with np.errstate(divide="ignore"):
         lam = float(_phase_wavelength(npr, r, m, thickness))
     if not 0 < lam < math.inf:
@@ -301,8 +323,8 @@ def critical_angle(eta: float, thickness: float,
     center, half = brewster_angle(eta), 1.0
     for level in range(7):
         grid = np.linspace(center - half, center + half, 41)
-        g = -2.0 * k * _threshold_kappa(eta, grid, thickness, k,
-                                        Polarization.TM)
+        g = -2.0 * k * _threshold_kappa(eta, _angle_terms(grid), thickness,
+                                        k, Polarization.TM)
         if np.isnan(g).any():     # the peak may be among the failed angles
             raise ConvergenceError(_NO_SOLUTION.format(grid[np.isnan(g)][0]))
         i = int(np.argmax(g))
@@ -321,10 +343,19 @@ def select_mode_number(eta: float, theta_deg: float, thickness: float,
     lambda(m) >= target.  A threshold solve at the target wavelength supplies
     the kappa used to evaluate the phase angle.
     """
-    kappa, _ = threshold_gain_exact(eta, theta_deg, thickness,
-                                    target_wavelength, polarization)
-    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
-                                polarization)
+    return _select_mode(eta, theta_deg, _angle_terms(theta_deg), thickness,
+                        target_wavelength, polarization)
+
+
+def _select_mode(eta, theta_deg, angle, thickness, target_wavelength,
+                 polarization, gain=None) -> int:
+    """select_mode_number from theta's terms and the closed-form gain."""
+    k = 2.0 * math.pi / target_wavelength
+    kappa = float(_threshold_kappa(eta, angle, thickness, k, polarization,
+                                   gain))
+    if math.isnan(kappa):
+        raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
+    npr, r = _modulus_kernel(eta, kappa, angle, polarization)
     x = (2.0 * math.pi * thickness * float(npr.real) / target_wavelength
          + cmath.phase(complex(r))) / math.pi
     return max(1, math.floor(x))
@@ -345,33 +376,30 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
     rounding of k = 2 pi / wavelength in the complex residual.
     """
     GainMedium(eta)                          # eta > 0, before any solve
+    angle = _angle_terms(theta_deg)
+    gain = _closed_form_gain(eta, angle, thickness, polarization)
     if m is None:
         if target_wavelength is None:
             raise ValueError("give either a mode number or a target wavelength")
-        m = select_mode_number(eta, theta_deg, thickness, target_wavelength,
-                               polarization)
+        m = _select_mode(eta, theta_deg, angle, thickness, target_wavelength,
+                         polarization, gain)
     elif m < 1:
         raise ValueError("mode number must be >= 1")
     lam = (2.0 * thickness * eta / m) * math.sqrt(     # 2 L eta' / m
         1.0 - math.sin(math.radians(theta_deg)) ** 2 / eta ** 2)
-    seed = -_closed_form_gain(eta, theta_deg, thickness,
-                              polarization) * lam / (4.0 * math.pi)
     kappa = float(_solve_kappa(lambda q: (eta, q), _phase_k(m, thickness),
-                               theta_deg, thickness, polarization, seed))
+                               angle, thickness, polarization,
+                               -gain * lam / (4.0 * math.pi)))
     if math.isnan(kappa):
         raise ConvergenceError(f"no gain solution for m = {m}")
-    lam = ss_wavelength(eta, kappa, theta_deg, thickness, m, polarization)
-
-    medium = GainMedium(eta, kappa)
-    npr, r, _ = _modulus_kernel(eta, kappa, theta_deg, thickness,
-                                polarization)
+    # n' and r at the solved kappa serve the wavelength, slope and residuals
+    npr, r = _modulus_kernel(eta, kappa, angle, polarization)
+    lam = _mode_wavelength(npr, r, m, thickness)
     slope = complex(4j * math.pi * thickness * npr * r * r) / lam ** 2  # dF/dlam
-    res = singularity_residual(medium, theta_deg, thickness,
-                               2.0 * math.pi / lam, polarization)
+    res = complex(_residual(npr, r, 2.0 * math.pi / lam, thickness))
     for _ in range(3):          # Newton steps in real lam, kept while |F| falls
         new = lam - (res / slope).real
-        res_new = singularity_residual(medium, theta_deg, thickness,
-                                       2.0 * math.pi / new, polarization)
+        res_new = complex(_residual(npr, r, 2.0 * math.pi / new, thickness))
         if not abs(res_new) < abs(res):
             break
         lam, res = new, res_new
@@ -384,7 +412,7 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
     if kappa > 0:
         raise ConvergenceError("unphysical branch: solved kappa > 0")
     matrix = build_transfer_matrix(
-        SlabScenario(thickness, medium),
+        SlabScenario(thickness, GainMedium(eta, kappa)),
         WaveSpec(k, theta_deg, polarization))
     return SingularityPoint(
         wavelength=lam, kappa=kappa, g=-2.0 * k * kappa, m=m,
@@ -401,7 +429,8 @@ def threshold_curve(eta: float, thickness: float, target_wavelength: float,
     if not np.all((theta >= 0.0) & (theta < 90.0)):
         raise ValueError("grid angles must lie in [0, 90) degrees")
     k = 2.0 * math.pi / target_wavelength
-    kappas = _threshold_kappa(eta, theta, thickness, k, polarization)
+    kappas = _threshold_kappa(eta, _angle_terms(theta), thickness, k,
+                              polarization)
     for theta_deg in theta[np.isnan(kappas)].tolist():
         warnings.warn(f"threshold solve failed at {theta_deg} deg: "
                       + _NO_SOLUTION.format(theta_deg))

@@ -123,10 +123,9 @@ def scattering_amplitudes(matrix: TransferMatrix) -> ScatteringAmplitudes:
         raise SpectralSingularityError(
             f"|M22| = {abs(matrix.m22):.3g} below tolerance: at spectral singularity"
         )
-    m11, m12, m21, m22 = matrix.m11, matrix.m12, matrix.m21, matrix.m22
-    # r_left, r_right, t_left = det/M22, t_right
-    return ScatteringAmplitudes(-m21 / m22, m12 / m22,
-                                (m11 * m22 - m12 * m21) / m22, 1.0 / m22)
+    m12, m21, m22 = matrix.m12, matrix.m21, matrix.m22
+    # t_left = det M / M22 = 1 / M22: the same vacuum bounds both sides
+    return ScatteringAmplitudes(-m21 / m22, m12 / m22, 1.0 / m22, 1.0 / m22)
 
 
 def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
@@ -142,7 +141,7 @@ def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
             "amplitude system is singular: at spectral singularity"
         )
     b0 = (b2 - m.m21 * a0) / m.m22
-    a2 = m.m11 * a0 + m.m12 * b0
+    a2 = (a0 + m.m12 * b2) / m.m22      # M11 a0 + M12 b0 with det M = 1
     # interior amplitudes from the z=0 matching conditions
     u = u_parameter(scenario.medium, wave.theta_deg, wave.polarization)
     total = a0 + b0

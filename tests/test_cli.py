@@ -216,13 +216,17 @@ class TestEdgeInputs:
         (["fields", "--eta", "-1", *SLAB, "--m", "3"],
          EXIT_VALIDATION, "eta must be positive"),
         (["threshold", "--steps", "0"], EXIT_VALIDATION, "--steps"),
+        # a 1 mm absorber: T_left once read -68.97+36.48i beside T_right
+        (["tmatrix", "--eta", "3.4", "--kappa=0.01", "--theta", "30",
+          "--wavelength", "1500nm", "--L", "1mm", "--pol", "TE"], EXIT_OK,
+         "T_left,-1.23607689810688"),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, message):
         got, out, err = run(capsys, *argv)
         assert got == code
         assert "Traceback" not in err
         if code == EXIT_OK:
-            assert out and err == ""
+            assert out and err == "" and message in out
         else:
             assert out == ""
             assert err.startswith("error: ") and message in err

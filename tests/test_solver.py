@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainslab import solver
+from gainslab import dispersion, solver
 from gainslab.core import GainMedium, Polarization, u_parameter
+from gainslab.dispersion import TwoLevelMedium
 from gainslab.solver import (
     ConvergenceError,
     brewster_angle,
@@ -128,13 +129,143 @@ class TestThresholdGain:
         # the bracket's bisection brings the solve back to the root
         kappa0, w, k = -1e-3, 1e-7, 2 * math.pi / LAM
 
-        def kernel(eta, kappa, theta_deg, thickness, polarization):
+        def kernel(eta, kappa, angle, polarization):
             h = np.arctan((np.asarray(kappa, dtype=float) - kappa0) / w)
-            return 1j + 0 * h, None, k - h / thickness
+            return 1j + 0 * h, h          # n' = i, and h in place of r
 
         monkeypatch.setattr(solver, "_modulus_kernel", kernel)
+        monkeypatch.setattr(solver, "_modulus_k",
+                            lambda npr, r, thickness: k - r / thickness)
         kappa, _ = threshold_gain_exact(ETA, 30.0, L, LAM, Polarization.TE)
         assert kappa == pytest.approx(kappa0, rel=1e-12)
+
+
+def reference_modulus_kernel(eta, kappa, theta_deg, thickness, polarization):
+    """n', r and k = ln|r| / (L Im n') from theta itself, in one call."""
+    th = np.radians(theta_deg)
+    n = eta + 1j * np.asarray(kappa, dtype=float)
+    npr = np.sqrt(n * n - np.sin(th) ** 2)
+    term = n ** polarization.ell * np.cos(th)
+    r = (npr - term) / (npr + term)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.log(np.abs(r)) / (thickness * npr.imag)
+    return npr, r, k
+
+
+def reference_solve_kappa(index, k, theta_deg, thickness, polarization, seed):
+    """The kappa loop with np.nan_to_num, np.clip and np.where bookkeeping
+    and one kernel call per range end: the solver must equal it bit for bit.
+
+    Each range end is evaluated as an array of the seed's shape (one
+    element for a 0-d solve), as the solver's stacked call evaluates it:
+    numpy rounds a product of two complex scalars differently from the
+    same product in an array loop, in about one product of four."""
+
+    def h(q):
+        npr, r, k_mod = reference_modulus_kernel(*index(q), theta_deg,
+                                                 thickness, polarization)
+        return thickness * npr.imag * (k(npr, r) - k_mod)
+
+    with np.errstate(all="ignore"):
+        a, b = solver.KAPPA_RANGE
+        shape = np.shape(seed)
+        ha, hb = (np.reshape(h(np.full(shape or (1,), end)), shape)
+                  for end in (a, b))
+        x = np.clip(np.nan_to_num(seed, nan=a), a, b)
+        x = np.where((ha < 0) & (hb > 0), x, np.nan)
+        hx = h(x)
+        xp, hp = np.where(hx > 0, a, b), np.where(hx > 0, ha, hb)
+        done = stalled = np.isnan(hx) | (hx == 0)
+        for _ in range(100):
+            if done.all():
+                break
+            s = x - hx * (x - xp) / (hx - hp)
+            new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
+            new = np.where(done, x, new)
+            hn = h(new)
+            a, b = np.where(hn < 0, new, a), np.where(hn > 0, new, b)
+            stalled = np.abs(hn) >= np.abs(hx)
+            done = done | np.isnan(hn) | (hn == 0) | (
+                np.abs(new - x) <= 1e-15 * np.abs(new))
+            xp, hp, x, hx = x, hx, new, hn
+    return np.where(done & ~np.isnan(hx), x, np.nan)
+
+
+# seeds off the solver's usual path: not finite, outside KAPPA_RANGE, or any
+odd_seeds = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
+                     -0.2, -1e-13, 1e-300]),
+    st.floats(-0.1, -1e-12), st.floats())
+
+
+def draw_array(data, elements, shape):
+    """An array of the given shape (() for 0-d) drawn element by element."""
+    n = int(np.prod(shape))
+    return np.reshape(data.draw(st.lists(elements, min_size=n, max_size=n)),
+                      shape)
+
+
+class TestSolveKappaReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from([(), (1,), (5,)]),
+           theta_array=st.booleans(), pol=st.sampled_from(list(Polarization)),
+           phase=st.booleans(), two_level=st.booleans(),
+           full_model=st.booleans(), closed_seed=st.booleans(),
+           thickness=st.floats(20e-6, 1000e-6))
+    def test_equals_reference(self, data, shape, theta_array, pol, phase,
+                              two_level, full_model, closed_seed, thickness):
+        # 0-d or array theta; a fixed index or the two-level map of a locus
+        # at per-element wavelengths; the threshold K or the phase K of m
+        theta = (draw_array(data, st.floats(0.0, 89.0), shape) if theta_array
+                 else data.draw(st.floats(0.0, 89.0)))
+        lam = draw_array(data, st.floats(1.2e-6, 1.8e-6), shape)
+        if two_level:
+            medium = TwoLevelMedium(data.draw(st.floats(2.0, 4.0)), 1.5e-6,
+                                    data.draw(st.floats(0.01, 0.1)))
+            index = dispersion._index_map(medium, lam, full_model)
+            eta = medium.n0
+        else:
+            eta = data.draw(st.floats(1.2, 5.0))
+            index = lambda q: (eta, q)
+        sin2 = np.sin(np.radians(theta)) ** 2
+        m = np.maximum(1, np.round(2 * thickness * np.sqrt(eta ** 2 - sin2)
+                                   / lam) + data.draw(st.integers(-3, 3)))
+        k = 2 * np.pi / lam
+        if phase:
+            k_new = solver._phase_k(m, thickness)
+            k_ref = lambda npr, r: ((np.pi * m - np.angle(r))
+                                    / (thickness * npr.real))
+        else:
+            k_new = k_ref = lambda npr, r: k
+        angle = solver._angle_terms(theta)
+        if closed_seed:
+            seed = -solver._closed_form_gain(eta, angle, thickness, pol) / (
+                2 * k)
+        else:
+            seed = draw_array(data, odd_seeds, shape)
+        new = solver._solve_kappa(index, k_new, angle, thickness, pol, seed)
+        ref = reference_solve_kappa(index, k_ref, theta, thickness, pol, seed)
+        assert np.shape(new) == np.shape(ref)
+        assert np.array_equal(new, ref, equal_nan=True)
+
+
+class TestKernelBudget:
+    @pytest.mark.parametrize("theta,pol,calls", [
+        (20.0, Polarization.TE, 10), (20.0, Polarization.TM, 11),
+        (80.0, Polarization.TE, 9), (80.0, Polarization.TM, 11)])
+    def test_kernel_calls_per_paper_point(self, monkeypatch, theta, pol,
+                                          calls):
+        # exact counts: the two range ends share one call, and n' and r at
+        # the solved kappa serve the wavelength, slope and Newton residuals
+        kernel, count = solver._modulus_kernel, []
+
+        def counting(*args):
+            count.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(solver, "_modulus_kernel", counting)
+        solve_singularity(ETA, theta, L, pol, target_wavelength=LAM)
+        assert len(count) == calls
 
 
 def mp_modulus_residual(eta, kappa, theta_deg, thickness, wavelength, pol):

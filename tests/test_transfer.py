@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ class TestScatteringAmplitudes:
     def test_raises_at_singularity(self):
         with pytest.raises(SpectralSingularityError):
             scattering_amplitudes(TransferMatrix(1.0, 0.5, 0.5, 1e-16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.2, 5.0), st.floats(1e-4, 5e-2), st.booleans(),
+           st.floats(0.0, 85.0), st.floats(1e-3, 300.0),
+           st.sampled_from(list(Polarization)))
+    def test_transmission_from_unit_determinant(self, eta, size, gain,
+                                                theta, imag_phase, pol):
+        # det M = 1 exactly, so T_left = T_right = 1/M22 and a2 M22 = a0
+        # for b2 = 0, also where M11 M22 and M12 M21 (each of size
+        # e^{2|Im k~L|}) cancel in doubles: |Im k~L| up to 300
+        medium = GainMedium(eta, -size if gain else size)
+        k = 2 * math.pi / 1.5e-6
+        L = imag_phase / (k * abs(n_prime(medium, theta).imag))
+        sc, w = SlabScenario(L, medium), WaveSpec(k, theta, pol)
+        m = build_transfer_matrix(sc, w)
+        try:
+            amps = scattering_amplitudes(m)
+            c = propagate_coefficients(sc, w, a0=1.0)
+        except SpectralSingularityError:
+            return
+        assert abs(amps.t_left - amps.t_right) <= 1e-12 * abs(amps.t_right)
+        assert abs(c.a2 * m.m22 - 1.0) <= 1e-12
 
     def test_transmission_blows_up_near_singularity(self, ss20_te):
         # detuned by one part in 1e9 off a solved singular point the
