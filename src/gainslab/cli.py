@@ -165,7 +165,9 @@ def cmd_singularity(args: argparse.Namespace) -> int:
 
 def cmd_locus(args: argparse.Namespace) -> int:
     medium = TwoLevelMedium(args.n0, args.lambda0, args.gamma_hat)
-    if args.m_min is not None and args.m_max is not None:
+    if (args.m_min is None) != (args.m_max is None):
+        raise ValueError("--m-min and --m-max must be given together")
+    if args.m_min is not None:
         m_values = range(args.m_min, args.m_max + 1)
     else:
         center = central_mode_number(medium, args.L, args.theta)
@@ -184,6 +186,8 @@ def cmd_locus(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     point = solve_singularity(args.eta, args.theta, args.L, args.pol,
                               m=args.m, target_wavelength=args.target)
     ctx = SingularFieldContext(point)

@@ -111,16 +111,6 @@ class WaveSpec:
         return self.k * math.cos(self.theta_rad)
 
 
-def n_prime(medium: GainMedium, theta_deg: float) -> complex:
-    """Principal-branch sqrt(n^2 - sin^2(theta)).
-
-    For eta > 1 the radicand has positive real part, so the result has a
-    strictly positive real part and its imaginary part carries the sign of
-    kappa.
-    """
-    return incidence(medium, theta_deg, Polarization.TE)[0]
-
-
 def u_parameter(medium: GainMedium, theta_deg: float,
                 polarization: Polarization) -> complex:
     """Interface mismatch parameter: n'/cos(theta) for TE, n'/(n^2 cos(theta)) for TM."""
@@ -131,7 +121,9 @@ def u_parameter(medium: GainMedium, theta_deg: float,
 
 def incidence(medium: GainMedium, theta_deg: float, polarization: Polarization
               ) -> tuple[complex, complex, float, float]:
-    """n', u, sin and cos of theta from one radians/sin/cos; unchecked."""
+    """n' = sqrt(n^2 - sin^2(theta)), u, sin and cos of theta from one
+    radians/sin/cos; unchecked.  For eta > 1, Re n' > 0 and Im n' carries
+    the sign of kappa."""
     th = math.radians(theta_deg)
     sin_t, cos_t = math.sin(th), math.cos(th)
     n2 = medium.n ** 2
@@ -141,7 +133,3 @@ def incidence(medium: GainMedium, theta_deg: float, polarization: Polarization
         u = u / n2
     return n_p, u, sin_t, cos_t
 
-
-def k_tilde(medium: GainMedium, wave: WaveSpec) -> complex:
-    """Longitudinal wavenumber inside the slab, k * sqrt(n^2 - sin^2(theta))."""
-    return wave.k * n_prime(medium, wave.theta_deg)

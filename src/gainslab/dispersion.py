@@ -10,12 +10,11 @@ plasma-frequency parameter omega_p_hat^2 = 2 n0 gamma_hat kappa0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GainMedium, Polarization
+from .core import Polarization
 from .solver import (_angle_terms, _closed_form_gain, _modulus_kernel,
                      _phase_k, _phase_wavelength, _residual, _solve_kappa)
 
@@ -59,13 +58,6 @@ def index_squared(omega_hat: float, medium: TwoLevelMedium,
     return medium.n0 ** 2 - omega_p_hat_sq / denom
 
 
-def omega_p_hat_sq_from_kappa0(medium: TwoLevelMedium, kappa0: float) -> float:
-    """Leading-order plasma parameter, 2 n0 gamma_hat kappa0 (< 0 for inversion)."""
-    if abs(kappa0) > 1e-2 * medium.n0:
-        warnings.warn("|kappa0| is large relative to n0; linearization dubious")
-    return 2.0 * medium.n0 * medium.gamma_hat * kappa0
-
-
 def _lorentz_factors(omega_hat: float, gamma_hat: float) -> tuple[float, float]:
     d = (1.0 - omega_hat ** 2) ** 2 + (gamma_hat * omega_hat) ** 2
     f1 = gamma_hat * (1.0 - omega_hat ** 2) / d
@@ -82,23 +74,9 @@ def linearized_index(omega_hat: float, medium: TwoLevelMedium,
     return medium.n0 + kappa0 * f1, kappa0 * f2
 
 
-def kappa0_from_g0(medium: TwoLevelMedium, g0: float) -> float:
-    """kappa0 = -lambda0 g0 / (4 pi)."""
-    return -medium.lambda0 * g0 / (4.0 * math.pi)
-
-
 def g0_from_kappa0(medium: TwoLevelMedium, kappa0: float) -> float:
+    """Resonance gain of kappa0, g0 = -4 pi kappa0 / lambda0."""
     return -4.0 * math.pi * kappa0 / medium.lambda0
-
-
-def dispersive_medium(wavelength: float, medium: TwoLevelMedium,
-                      g0: float, full_model: bool = False) -> GainMedium:
-    """Slab index at the given wavelength and pump level."""
-    kappa0 = kappa0_from_g0(medium, g0)
-    if full_model:
-        omega_p_hat_sq_from_kappa0(medium, kappa0)   # warns for a large pump
-    eta, kappa = _index_map(medium, wavelength, full_model)(kappa0)
-    return GainMedium(float(eta), float(kappa))
 
 
 def central_mode_number(medium: TwoLevelMedium, thickness: float,
@@ -115,7 +93,7 @@ def _index_map(medium: TwoLevelMedium, wavelength, full_model: bool):
     if not full_model:
         return lambda kappa0: linearized_index(omega_hat, medium, kappa0)
 
-    def index(kappa0):  # omega_p_hat_sq_from_kappa0 would warn on trial kappa0
+    def index(kappa0):
         n = np.sqrt(index_squared(omega_hat, medium, 2.0 * medium.n0
                                   * medium.gamma_hat * kappa0))
         return n.real, n.imag

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPSILON_0, MU_0, Polarization, SlabScenario, Z_0, u_parameter
+from .core import (EPSILON_0, MU_0, Polarization, SlabScenario, Z_0,
+                   incidence, u_parameter)
 from .solver import SingularityPoint
 from .transfer import assemble_fields
 
@@ -35,10 +36,6 @@ class SingularFieldContext:
     @property
     def scenario(self) -> SlabScenario:
         return self.point.scenario
-
-    @property
-    def thickness(self) -> float:
-        return self.point.thickness
 
     @property
     def poynting_out(self) -> float:
@@ -103,17 +100,18 @@ def singular_fields(ctx: SingularFieldContext, x, z):
 
 
 def _interior(ctx: SingularFieldContext, z):
-    """Interior mask of z, U_+ and U_- at the interior points, and the
-    scalars (a, b, c, d) of the closed forms there, in units of the exterior
-    values: S_x = a |U_+|^2 sin(theta), S_z = Re(b U_+ conj(U_-)) cos(theta)
-    and u = c |U_+|^2 + d |U_-|^2."""
+    """Interior mask of z, U_+ and U_- at the interior points, the scalars
+    (a, b, c, d) of the closed forms there, in units of the exterior values:
+    S_x = a |U_+|^2 sin(theta), S_z = Re(b U_+ conj(U_-)) cos(theta) and
+    u = c |U_+|^2 + d |U_-|^2, and (sin(theta), cos(theta))."""
     point = ctx.point
-    u = u_parameter(point.medium, point.theta_deg, point.polarization)
-    ntil = u_parameter(point.medium, point.theta_deg, Polarization.TE)
-    inside = (z >= 0) & (z <= ctx.thickness)
-    up, um = _envelopes(u, z[inside] / ctx.thickness)
-    th = math.radians(point.theta_deg)
-    sin2, cos2 = math.sin(th) ** 2, math.cos(th) ** 2
+    L = point.thickness
+    n_p, u, sin_t, cos_t = incidence(point.medium, point.theta_deg,
+                                     point.polarization)
+    ntil = n_p / cos_t
+    inside = (z >= 0) & (z <= L)
+    up, um = _envelopes(u, z[inside] / L)
+    sin2, cos2 = sin_t ** 2, cos_t ** 2
     n2 = point.medium.n ** 2
     abs_ntil2 = abs(ntil) ** 2
     if point.polarization is Polarization.TE:
@@ -123,16 +121,14 @@ def _interior(ctx: SingularFieldContext, z):
         weights = (n2.real / abs_ntil2, n2 / ntil,
                    (abs(n2) ** 2 + sin2 * n2.real) / (2.0 * abs_ntil2),
                    cos2 * n2.real / 2.0)
-    return inside, up, um, weights
+    return inside, up, um, weights, (sin_t, cos_t)
 
 
 def poynting(ctx: SingularFieldContext, z) -> np.ndarray:
     """Time-averaged Poynting vector (closed form), shape (..., 3), W/m^2."""
     z = np.asarray(z, dtype=float)
-    th = math.radians(ctx.point.theta_deg)
-    sin_t, cos_t = math.sin(th), math.cos(th)
     s_out = ctx.poynting_out
-    inside, up, um, (a, b, _, _) = _interior(ctx, z)
+    inside, up, um, (a, b, _, _), (sin_t, cos_t) = _interior(ctx, z)
     out = np.zeros((3,) + z.shape)     # component-major, like the fields
     out[0, ...] = s_out * sin_t
     out[2, ...] = np.where(z < 0, s_out * -cos_t, s_out * cos_t)
@@ -158,7 +154,7 @@ def tilde_theta_deg(ctx: SingularFieldContext) -> float:
 def energy_density(ctx: SingularFieldContext, z):
     """Time-averaged energy density (closed form), J/m^3."""
     z = np.asarray(z, dtype=float)
-    inside, up, um, (_, _, c, d) = _interior(ctx, z)
+    inside, up, um, (_, _, c, d), _ = _interior(ctx, z)
     result = np.full(z.shape, ctx.energy_out)
     result[inside] = ctx.energy_out * (c * _abs2(up) + d * _abs2(um))
     return result if z.ndim else float(result)

@@ -3,7 +3,7 @@
 A spectral singularity is a real wavenumber at which M22 of the transfer
 matrix vanishes, equivalently
 
-    exp(-2i k_tilde L) = ((u - 1)/(u + 1))^2 .
+    exp(-2i k~ L) = ((u - 1)/(u + 1))^2 .
 
 Taking logarithms splits this into a pair of real conditions for a gain
 medium n = eta + i*kappa (kappa < 0):
@@ -117,21 +117,6 @@ def _modulus_k(npr, r, thickness):
     return np.log(np.abs(r)) / (thickness * npr.imag)
 
 
-def reflection_ratio(medium: GainMedium, theta_deg: float,
-                     polarization: Polarization) -> complex:
-    """Interface ratio r = (n' - n^l cos)/(n' + n^l cos); equals (u-1)/(u+1)."""
-    return complex(_modulus_kernel(medium.eta, medium.kappa,
-                                   _angle_terms(theta_deg), polarization)[1])
-
-
-def singularity_residual(medium: GainMedium, theta_deg: float, thickness: float,
-                         k: float, polarization: Polarization) -> complex:
-    """exp(-2i k_tilde L) - r^2; zero exactly at a spectral singularity."""
-    npr, r = _modulus_kernel(medium.eta, medium.kappa,
-                             _angle_terms(theta_deg), polarization)
-    return complex(_residual(npr, r, k, thickness))
-
-
 def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
                             thickness: float,
                             polarization: Polarization) -> float:
@@ -222,8 +207,9 @@ def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
     effect on g.
     """
     k = 2.0 * math.pi / target_wavelength
-    kappa = float(_threshold_kappa(eta, _angle_terms(theta_deg), thickness, k,
-                                   polarization))
+    # a (1,) solve is bitwise threshold_curve's; a 0-d one rounds differently
+    kappa = float(_threshold_kappa(eta, _angle_terms([theta_deg]), thickness,
+                                   k, polarization)[0])
     if math.isnan(kappa):
         raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
     return kappa, -2.0 * k * kappa
@@ -262,46 +248,14 @@ def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
                                    polarization))
 
 
-def ss_wavelength(eta: float, kappa: float, theta_deg: float, thickness: float,
-                  m: int, polarization: Polarization,
-                  approx: bool = False) -> float:
-    """Wavelength of the m-th singular mode.
-
-    Exact form: lambda = 2 pi L Re(n') / (pi m - phi) with phi the principal
-    argument of r.  With approx=True the first-order-in-kappa expansions are
-    used instead.
-    """
-    if m < 1:
-        raise ValueError("mode number must be >= 1")
-    if approx:
-        return _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m,
-                                     polarization)
-    return _mode_wavelength(*_modulus_kernel(
-        eta, kappa, _angle_terms(theta_deg), polarization), m, thickness)
-
-
 def _mode_wavelength(npr, r, m, thickness) -> float:
-    """ss_wavelength's exact form from n' and r."""
+    """Wavelength of the m-th singular mode from n' and r: the phase
+    condition's lambda = 2 pi L Re(n') / (pi m - phi), phi = arg r."""
     with np.errstate(divide="ignore"):
         lam = float(_phase_wavelength(npr, r, m, thickness))
     if not 0 < lam < math.inf:
         raise ValueError("invalid mode: pi*m - phi <= 0")
     return lam
-
-
-def _ss_wavelength_approx(eta, kappa, theta_deg, thickness, m, polarization):
-    th = math.radians(theta_deg)
-    s2 = math.sin(th) ** 2
-    cos_t = math.cos(th)
-    lead = math.sqrt(1.0 - s2 / eta ** 2)
-    if polarization is Polarization.TE:
-        corr = 2.0 * kappa * cos_t / (math.pi * m * (eta ** 2 - 1.0))
-    else:
-        c2 = math.cos(2.0 * th)
-        corr = (4.0 * kappa * cos_t * (eta ** 2 - 1.0 + c2)
-                / (math.pi * m * (eta ** 2 - 1.0)
-                   * (eta ** 2 - 1.0 + (eta ** 2 + 1.0) * c2)))
-    return (2.0 * thickness * eta / m) * (lead + corr)
 
 
 def brewster_angle(eta: float) -> float:
@@ -334,22 +288,10 @@ def critical_angle(eta: float, thickness: float,
     return float(center), float(g[i])
 
 
-def select_mode_number(eta: float, theta_deg: float, thickness: float,
-                       target_wavelength: float,
-                       polarization: Polarization) -> int:
-    """Mode number of the first singular wavelength at or above the target.
-
-    The singular wavelengths decrease with m, so this is the largest m with
-    lambda(m) >= target.  A threshold solve at the target wavelength supplies
-    the kappa used to evaluate the phase angle.
-    """
-    return _select_mode(eta, theta_deg, _angle_terms(theta_deg), thickness,
-                        target_wavelength, polarization)
-
-
 def _select_mode(eta, theta_deg, angle, thickness, target_wavelength,
-                 polarization, gain=None) -> int:
-    """select_mode_number from theta's terms and the closed-form gain."""
+                 polarization, gain) -> int:
+    """Largest m with lambda(m) >= target (lambda decreases with m): the phase
+    angle is taken at the threshold kappa of the target wavelength."""
     k = 2.0 * math.pi / target_wavelength
     kappa = float(_threshold_kappa(eta, angle, thickness, k, polarization,
                                    gain))

@@ -2,9 +2,9 @@
 
 The matrix M maps the plane-wave amplitudes on the left of the slab to those
 on the right, (a2, b2)^T = M (a0, b0)^T, and has unit determinant.  Its
-entries are assembled from cos/sin of the complex phase k_tilde*L rather
+entries are assembled from cos/sin of the complex phase k~*L rather
 than from exponential differences, which avoids cancellation for large
-|Im(k_tilde*L)|.
+|Im(k~*L)|.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     WaveSpec,
     Z_0,
     incidence,
-    k_tilde,
     u_parameter,
 )
 
@@ -93,7 +92,7 @@ def build_transfer_matrix(scenario: SlabScenario, wave: WaveSpec) -> TransferMat
     delta = k * n_p * L
     if abs(delta.imag) > _MAX_IMAG_PHASE:
         raise OverflowError(
-            f"|Im(k_tilde * L)| = {abs(delta.imag):.3g} exceeds the double-precision "
+            f"|Im(k~ * L)| = {abs(delta.imag):.3g} exceeds the double-precision "
             "range of cosh/sinh"
         )
     cos_d = cmath.cos(delta)
@@ -153,7 +152,8 @@ def propagate_coefficients(scenario: SlabScenario, wave: WaveSpec,
 
 def _psi(coeffs: CoefficientSet, scenario: SlabScenario, wave: WaveSpec, z):
     """Scalar wave profile (E_y for TE, H_y for TM) and its odd companion."""
-    kt = k_tilde(scenario.medium, wave)
+    kt = wave.k * incidence(scenario.medium, wave.theta_deg,
+                            wave.polarization)[0]
     kz = wave.k_z
     L = scenario.thickness
     z = np.asarray(z, dtype=float)

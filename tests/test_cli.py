@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -220,6 +221,11 @@ class TestEdgeInputs:
         (["tmatrix", "--eta", "3.4", "--kappa=0.01", "--theta", "30",
           "--wavelength", "1500nm", "--L", "1mm", "--pol", "TE"], EXIT_OK,
          "T_left,-1.23607689810688"),
+        # one mode bound alone once fell back to --m-span silently
+        (["locus", "--pol", "TE", "--theta", "30", "--m-min", "1340"],
+         EXIT_VALIDATION, "--m-min and --m-max"),
+        (["fields", "--eta", "3.4", *SLAB, "--target", "1500nm",
+          "--points", "0"], EXIT_VALIDATION, "--points"),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, message):
         got, out, err = run(capsys, *argv)
@@ -292,3 +298,67 @@ class TestFields:
         # normal flux is antisymmetric and energy symmetric about the midplane
         assert at(0.25)[1] == pytest.approx(-at(0.75)[1], rel=1e-6)
         assert at(0.25)[2] == pytest.approx(at(0.75)[2], rel=1e-6)
+
+# the five README commands (threshold to stdout) and five more paper cases
+GOLDEN = [
+    pytest.param(
+        "tmatrix --eta 3.4 --kappa=-1e-4 --theta 30 --wavelength 1500nm "
+        "--L 2um --pol TM",
+        "977f816a02e544f51c99d29ddaac244a651b41b40d65288af24fe861f418d3dc",
+        id="readme-tmatrix"),
+    pytest.param(
+        "threshold --eta 3.4 --L 300um --wavelength 1500nm --theta-min 0 "
+        "--theta-max 89.5 --steps 180",
+        "d0ef2a94b162f7f742c6329619017f4e08d3784a3ab123721df8b32e4d2d15ab",
+        id="readme-threshold"),
+    pytest.param(
+        "singularity --eta 3.4 --theta 20 --L 400um --pol TE "
+        "--target 1500nm",
+        "30e37f9ada8d04bf96413b014ed19f1bcae3afc1a5ceeeea581ea306cb6c68ae",
+        id="readme-singularity"),
+    pytest.param(
+        "locus --pol TE --theta 30 --m-span 40 --g0-max 40cm-1",
+        "ec9db138b6050095c2c3e5bf550a63cb16d7ab2429cc9626e0868667a20f699d",
+        id="readme-locus"),
+    pytest.param(
+        "fields --eta 3.4 --theta 20 --L 400um --pol TM --target 1500nm",
+        "6ef503189c7221f849ec08e88ef9d2082d87ace52a86c087e3e3bdaf5ba7e3c1",
+        id="readme-fields"),
+    pytest.param(
+        "tmatrix --eta 3.4 --kappa=-1e-4 --theta 30 --wavelength 1500nm "
+        "--L 2um --pol TM --format json",
+        "c09a1b6d6ec8538f06b24c2517aff8eb02d03548b6dd7094137db77b90b723ef",
+        id="tmatrix-json"),
+    pytest.param(
+        "singularity --eta 3.4 --theta 80 --L 400um --pol TM "
+        "--target 1500nm",
+        "d453bba9a6e5e896b9aba0e1ee2e90d76067e1e292012ff1bf71610fc3cf6297",
+        id="singularity-80-TM"),
+    pytest.param(
+        "locus --pol TM --theta 73 --m-span 40",
+        "69cda26f55d55266d91234fb7b99240c6986d9cbc8b5870cd99b707f35cb9794",
+        id="locus-73-TM"),
+    pytest.param(
+        "locus --pol TE --theta 30 --m-min 1335 --m-max 1345",
+        "3a3f0e91a903195aae4574d11a0ac0124121fd17b2cbfae1d86cd0131960e19a",
+        id="locus-m-range"),
+    pytest.param(
+        "fields --eta 3.4 --theta 80 --L 400um --pol TE --target 1500nm",
+        "8cc5bc83ea3a0185a189d1423b8b82fc57d94b55df75f12512886d27c3900b7f",
+        id="fields-80-TE"),
+]
+
+
+class TestGoldenOutputs:
+    """stdout of ten commands, byte for byte, through sha256 digests.
+
+    The digests belong to the numpy build they were taken with (numpy 2.4.6
+    on x86-64 Linux): another build may round a last digit differently.  A
+    change that moves an output updates its digest and gives the reason in
+    CHANGES.md."""
+
+    @pytest.mark.parametrize("command,digest", GOLDEN)
+    def test_stdout_digest(self, capsys, command, digest):
+        code, out, _ = run(capsys, *command.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

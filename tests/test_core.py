@@ -10,8 +10,7 @@ from gainslab.core import (
     Polarization,
     SlabScenario,
     WaveSpec,
-    k_tilde,
-    n_prime,
+    incidence,
     u_parameter,
 )
 
@@ -58,6 +57,11 @@ class TestTypes:
     def test_polarization_exponent(self):
         assert Polarization.TE.ell == 0
         assert Polarization.TM.ell == 2
+
+
+def n_prime(medium, theta_deg):
+    """The principal sqrt(n^2 - sin^2 theta), as core.incidence returns it."""
+    return incidence(medium, theta_deg, Polarization.TE)[0]
 
 
 class TestNPrime:
@@ -108,7 +112,7 @@ class TestUParameter:
             assert u == pytest.approx(1.0, abs=1e-12)
 
     def test_te_oblique_gain(self):
-        # frozen composition n_prime / cos(20 deg), mpmath cross-checked
+        # frozen composition n' / cos(20 deg), mpmath cross-checked
         u = u_parameter(GainMedium(3.4, -1e-4), 20.0, Polarization.TE)
         assert u == pytest.approx(
             3.5998512385979946 - 1.0696032895980696e-4j, rel=1e-14)
@@ -123,6 +127,11 @@ class TestUParameter:
         u_te = u_parameter(medium, theta, Polarization.TE)
         u_tm = u_parameter(medium, theta, Polarization.TM)
         assert u_tm == pytest.approx(u_te / medium.n ** 2, rel=1e-14)
+
+
+def k_tilde(medium, wave):
+    """k n', the slab's longitudinal wavenumber, as transfer computes it."""
+    return wave.k * incidence(medium, wave.theta_deg, wave.polarization)[0]
 
 
 class TestKTilde:

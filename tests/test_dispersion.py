@@ -4,17 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gainslab.core import Polarization, SlabScenario, WaveSpec
+from gainslab.core import GainMedium, Polarization, SlabScenario, WaveSpec
 from gainslab.dispersion import (
     TwoLevelMedium,
+    _index_map,
     _lorentz_factors,
     central_mode_number,
-    dispersive_medium,
     g0_from_kappa0,
     index_squared,
-    kappa0_from_g0,
     linearized_index,
-    omega_p_hat_sq_from_kappa0,
     trace_locus,
 )
 from gainslab.transfer import build_transfer_matrix
@@ -51,24 +49,18 @@ class TestIndexSquared:
 
 
 class TestPumpParameterization:
-    def test_kappa0_frozen_value(self):
-        # g0 = 40 cm^-1 at 1500 nm resonance
-        assert kappa0_from_g0(MEDIUM, 4000.0) == pytest.approx(
-            -4.7746482927568601e-4, rel=1e-15)
-
-    def test_round_trip(self):
-        for g0 in (10.0, 4000.0, 1e5):
-            assert g0_from_kappa0(MEDIUM, kappa0_from_g0(MEDIUM, g0)) == \
-                pytest.approx(g0, rel=1e-14)
+    def test_g0_frozen_value(self):
+        # kappa0 = -4.77e-4 is g0 = 40 cm^-1 at 1500 nm resonance
+        assert g0_from_kappa0(MEDIUM, -4.7746482927568601e-4) == \
+            pytest.approx(4000.0, rel=1e-15)
 
     def test_plasma_parameter_sign(self):
-        wp2 = omega_p_hat_sq_from_kappa0(MEDIUM, -4.77e-4)
-        assert wp2 == pytest.approx(2 * 3.4 * 0.02 * -4.77e-4)
-        assert wp2 < 0  # population inversion
-
-    def test_plasma_parameter_warns_when_large(self):
-        with pytest.warns(UserWarning):
-            omega_p_hat_sq_from_kappa0(MEDIUM, -0.5)
+        # at resonance n^2 = n0^2 + i wp^2 / gamma_hat, wp^2 = 2 n0 gamma_hat
+        # kappa0: a negative kappa0 (population inversion) gives gain
+        eta, kappa = _index_map(MEDIUM, MEDIUM.lambda0, True)(-4.77e-4)
+        assert (eta + 1j * kappa) ** 2 == pytest.approx(
+            3.4 ** 2 + 2j * 3.4 * -4.77e-4, rel=1e-15)
+        assert kappa < 0
 
 
 class TestLinearizedIndex:
@@ -89,7 +81,7 @@ class TestLinearizedIndex:
         errs = []
         for kappa0 in (-1e-3, -5e-4, -2.5e-4):
             eta, kappa = linearized_index(omega_hat, MEDIUM, kappa0)
-            wp2 = omega_p_hat_sq_from_kappa0(MEDIUM, kappa0)
+            wp2 = 2 * MEDIUM.n0 * MEDIUM.gamma_hat * kappa0
             full = np.sqrt(np.complex128(index_squared(omega_hat, MEDIUM,
                                                        wp2)))
             errs.append(abs(complex(eta, kappa) - full) / abs(kappa0))
@@ -97,10 +89,12 @@ class TestLinearizedIndex:
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
 
     def test_dispersive_medium_models_agree_for_weak_pump(self):
-        lin = dispersive_medium(1503e-9, MEDIUM, 100.0)
-        full = dispersive_medium(1503e-9, MEDIUM, 100.0, full_model=True)
-        assert lin.n == pytest.approx(full.n, rel=1e-7)
-        assert lin.kappa < 0
+        # g0 = 1 cm^-1
+        kappa0 = -MEDIUM.lambda0 * 100.0 / (4 * math.pi)
+        lin = complex(*_index_map(MEDIUM, 1503e-9, False)(kappa0))
+        full = complex(*_index_map(MEDIUM, 1503e-9, True)(kappa0))
+        assert lin == pytest.approx(full, rel=1e-7)
+        assert lin.imag < 0
 
 
 class TestCentralModeNumber:
@@ -127,8 +121,9 @@ class TestTraceLocus:
             assert p.residual < 1e-10
             assert p.g0 > 0
             # independent re-check through the transfer matrix
-            slab = SlabScenario(L, dispersive_medium(p.wavelength, MEDIUM,
-                                                     p.g0))
+            kappa0 = -MEDIUM.lambda0 * p.g0 / (4 * math.pi)
+            eta, kappa = _index_map(MEDIUM, p.wavelength, False)(kappa0)
+            slab = SlabScenario(L, GainMedium(eta, kappa))
             wave = WaveSpec.from_wavelength(p.wavelength, 0.0,
                                             Polarization.TE)
             m = build_transfer_matrix(slab, wave)

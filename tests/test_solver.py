@@ -17,11 +17,7 @@ from gainslab.solver import (
     ConvergenceError,
     brewster_angle,
     critical_angle,
-    reflection_ratio,
-    select_mode_number,
-    singularity_residual,
     solve_singularity,
-    ss_wavelength,
     threshold_curve,
     threshold_gain_approx,
     threshold_gain_at_kappa,
@@ -35,6 +31,12 @@ LAM = 1500e-9
 media = st.builds(GainMedium, eta=st.floats(1.1, 5.0),
                   kappa=st.floats(-1e-2, -1e-6))
 angles = st.floats(0.0, 85.0)
+
+
+def reflection_ratio(medium, theta, pol):
+    """r = (n' - n^l cos)/(n' + n^l cos) from the solver's modulus kernel."""
+    return solver._modulus_kernel(medium.eta, medium.kappa,
+                                  solver._angle_terms(theta), pol)[1]
 
 
 class TestReflectionRatio:
@@ -389,19 +391,43 @@ class TestAngles:
             ETA, theta_c - 1e-3, L, LAM, Polarization.TM)[1] < g_max
 
 
+def mode_wavelength(eta, kappa, theta, thickness, m, pol):
+    """The solver's phase-condition wavelength of mode m at a given kappa."""
+    return solver._mode_wavelength(*solver._modulus_kernel(
+        eta, kappa, solver._angle_terms(theta), pol), m, thickness)
+
+
+def first_order_wavelength(eta, kappa, theta_deg, thickness, m, pol):
+    """Singular wavelength of mode m to first order in kappa (the paper's
+    expansion of the phase condition)."""
+    th = math.radians(theta_deg)
+    cos_t = math.cos(th)
+    lead = math.sqrt(1.0 - math.sin(th) ** 2 / eta ** 2)
+    if pol is Polarization.TE:
+        corr = 2.0 * kappa * cos_t / (math.pi * m * (eta ** 2 - 1.0))
+    else:
+        c2 = math.cos(2.0 * th)
+        corr = (4.0 * kappa * cos_t * (eta ** 2 - 1.0 + c2)
+                / (math.pi * m * (eta ** 2 - 1.0)
+                   * (eta ** 2 - 1.0 + (eta ** 2 + 1.0) * c2)))
+    return (2.0 * thickness * eta / m) * (lead + corr)
+
+
 class TestSSWavelength:
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            ss_wavelength(ETA, -1e-4, 0.0, L, 0, Polarization.TE)
+        # at normal incidence the TM ratio r is nearly real negative (phi
+        # near pi), so mode 0 has pi m - phi < 0
+        with pytest.raises(ValueError, match="invalid mode"):
+            mode_wavelength(ETA, -1e-4, 0.0, L, 0, Polarization.TM)
 
     def test_lossless_normal_incidence(self):
         # with kappa = 0 and theta = 0 the TE ratio r is real positive, so
         # phi = 0 and lambda = 2 L eta / m
-        lam = ss_wavelength(ETA, 0.0, 0.0, L, 100, Polarization.TE)
+        lam = mode_wavelength(ETA, 0.0, 0.0, L, 100, Polarization.TE)
         assert lam == pytest.approx(2 * L * ETA / 100, rel=1e-12)
 
     def test_decreasing_in_m(self):
-        lams = [ss_wavelength(ETA, -1e-4, 40.0, L, m, Polarization.TM)
+        lams = [mode_wavelength(ETA, -1e-4, 40.0, L, m, Polarization.TM)
                 for m in (100, 101, 102)]
         assert lams[0] > lams[1] > lams[2]
 
@@ -414,8 +440,8 @@ class TestSSWavelength:
         shift = 1 if pol is Polarization.TM else 0
         errs = []
         for kappa in (-1e-3, -5e-4, -2.5e-4):
-            exact = ss_wavelength(ETA, kappa, 30.0, L, m + shift, pol)
-            approx = ss_wavelength(ETA, kappa, 30.0, L, m, pol, approx=True)
+            exact = mode_wavelength(ETA, kappa, 30.0, L, m + shift, pol)
+            approx = first_order_wavelength(ETA, kappa, 30.0, L, m, pol)
             errs.append(abs(exact - approx))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -424,9 +450,10 @@ class TestSSWavelength:
         # interlaced TE/TM singular wavelengths nearly coincide (the TM
         # phase offset of pi pairs TE mode m with TM mode m + 1)
         for m in (650, 665, 680):
-            lam_e = ss_wavelength(ETA, -1e-4, 30.0, 300e-6, m, Polarization.TE)
-            lam_m = ss_wavelength(ETA, -1e-4, 30.0, 300e-6, m + 1,
-                                  Polarization.TM)
+            lam_e = mode_wavelength(ETA, -1e-4, 30.0, 300e-6, m,
+                                    Polarization.TE)
+            lam_m = mode_wavelength(ETA, -1e-4, 30.0, 300e-6, m + 1,
+                                    Polarization.TM)
             assert abs(lam_e - lam_m) / lam_e < 1e-6
 
 
@@ -434,10 +461,10 @@ class TestModeSelection:
     @pytest.mark.parametrize("pol", list(Polarization))
     @pytest.mark.parametrize("theta", [0.0, 20.0, 80.0])
     def test_first_at_or_above_target(self, pol, theta):
-        m = select_mode_number(ETA, theta, L, LAM, pol)
-        kappa, _ = threshold_gain_exact(ETA, theta, L, LAM, pol)
-        assert ss_wavelength(ETA, kappa, theta, L, m, pol) >= LAM
-        assert ss_wavelength(ETA, kappa, theta, L, m + 1, pol) < LAM
+        # the selected mode reaches the target; the next one falls short
+        p = solve_singularity(ETA, theta, L, pol, target_wavelength=LAM)
+        after = solve_singularity(ETA, theta, L, pol, m=p.m + 1)
+        assert p.wavelength >= LAM > after.wavelength
 
 
 class TestSolveSingularity:
@@ -490,8 +517,9 @@ class TestSolveSingularity:
         # residual forces M22 to vanish as well
         medium = ss20_te.medium
         u = u_parameter(medium, 20.0, Polarization.TE)
-        res = singularity_residual(medium, 20.0, L, ss20_te.k,
-                                   Polarization.TE)
+        res = solver._residual(*solver._modulus_kernel(
+            medium.eta, medium.kappa, solver._angle_terms(20.0),
+            Polarization.TE), ss20_te.k, L)
         kt = ss20_te.k * cmath.sqrt(
             medium.n ** 2 - math.sin(math.radians(20.0)) ** 2)
         pref = abs((u + 1) ** 2 / (4 * u)
@@ -527,8 +555,7 @@ class TestThresholdCurve:
         curve = threshold_curve(ETA, 300e-6, LAM, pol, grid)
         for s in curve.samples:
             kappa, g = threshold_gain_exact(ETA, s.theta_deg, 300e-6, LAM, pol)
-            assert s.kappa == pytest.approx(kappa, rel=1e-13)
-            assert s.g == pytest.approx(g, rel=1e-13)
+            assert (s.kappa, s.g) == (kappa, g)
 
     def test_failed_angles_become_gap_markers(self):
         # a 50 nm slab has no solution with |kappa| <= 0.1 below grazing

@@ -11,8 +11,7 @@ from gainslab.core import (
     Polarization,
     SlabScenario,
     WaveSpec,
-    k_tilde,
-    n_prime,
+    incidence,
     u_parameter,
 )
 from gainslab.transfer import (
@@ -24,7 +23,7 @@ from gainslab.transfer import (
     scattering_amplitudes,
 )
 
-# kL capped so that |Im(k_tilde L)| stays small enough for the determinant
+# kL capped so that |Im(k~ L)| stays small enough for the determinant
 # identity to survive in doubles; large-|Im| draws are covered by the
 # scale-relative check below
 params = st.tuples(
@@ -43,7 +42,8 @@ def boundary_residuals(coeffs, scenario, wave):
     result is meaningful even when interior amplitudes grow exponentially.
     """
     u = u_parameter(scenario.medium, wave.theta_deg, wave.polarization)
-    kt = k_tilde(scenario.medium, wave)
+    kt = wave.k * incidence(scenario.medium, wave.theta_deg,
+                            wave.polarization)[0]
     kz = wave.k_z
     L = scenario.thickness
     ep, em = cmath.exp(1j * kt * L), cmath.exp(-1j * kt * L)
@@ -177,7 +177,7 @@ class TestScatteringAmplitudes:
         # e^{2|Im k~L|}) cancel in doubles: |Im k~L| up to 300
         medium = GainMedium(eta, -size if gain else size)
         k = 2 * math.pi / 1.5e-6
-        L = imag_phase / (k * abs(n_prime(medium, theta).imag))
+        L = imag_phase / (k * abs(incidence(medium, theta, pol)[0].imag))
         sc, w = SlabScenario(L, medium), WaveSpec(k, theta, pol)
         m = build_transfer_matrix(sc, w)
         try:
@@ -354,8 +354,8 @@ class TestSingularLimit:
             return
         # M22 is rounded to about eps * phase, so the step is a fixed small
         # change of the phase k L n' and the gate scales with that phase
-        phase = max(1.0, abs(wave.k * scenario.thickness * n_prime(
-            scenario.medium, wave.theta_deg)))
+        phase = max(1.0, abs(wave.k * scenario.thickness * incidence(
+            scenario.medium, wave.theta_deg, wave.polarization)[0]))
         h = 3e-4 / phase
 
         def m22(delta):
