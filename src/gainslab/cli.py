@@ -25,7 +25,6 @@ from .fields import (
 from .solver import (
     RESIDUAL_TOL,
     ConvergenceError,
-    brewster_angle,
     solve_singularity,
     threshold_curve,
 )
@@ -136,7 +135,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             cells.append(_fmt(sample.kappa) if sample.kappa is not None else "")
         any_ok = any_ok or s_te.g is not None or s_tm.g is not None
         lines.append(",".join(cells))
-    lines.append(f"# theta_b_deg,{_fmt(brewster_angle(args.eta))}")
+    lines.append(f"# theta_b_deg,{_fmt(tm.theta_b_deg)}")
     lines.append(f"# theta_c_deg,{_fmt(tm.theta_c_deg)}")
     lines.append(f"# g_max_cm1,{_fmt(tm.g_max / 100.0)}")
     _write(lines, args.out)
@@ -173,8 +172,12 @@ def cmd_locus(args: argparse.Namespace) -> int:
         center = central_mode_number(medium, args.L, args.theta)
         half = args.m_span // 2
         m_values = range(max(1, center - half), center + half + 1)
+    if not m_values or m_values[0] < 1:
+        raise ValueError("need 1 <= --m-min <= --m-max, or --m-span >= 0")
     points, failed = trace_locus(medium, args.L, args.theta, args.pol,
                                  m_values, g0_cap=args.g0_max)
+    if len(failed) == len(m_values):
+        raise ConvergenceError(f"no mode {m_values[0]}..{m_values[-1]} solved")
     for m in failed:
         print(f"mode m = {m}: no convergence, skipped", file=sys.stderr)
     lines = ["m,lambda_nm,g0_cm1,residual"]
@@ -216,6 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="output path (default: stdout)")
 
+    def add_point(p):
+        p.add_argument("--eta", type=float, required=True)
+        p.add_argument("--theta", type=float, default=0.0)
+        p.add_argument("--L", type=parse_length, required=True)
+        p.add_argument("--pol", type=parse_pol, required=True)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--m", type=int)
+        group.add_argument("--target", type=parse_length, help="target "
+                           "wavelength; picks the first mode at or above it")
+
     p = sub.add_parser("tmatrix", help="transfer matrix and R/T amplitudes")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--kappa", type=float, default=0.0)
@@ -238,14 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("singularity", help="solve one spectral singularity")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--L", type=parse_length, required=True)
-    p.add_argument("--pol", type=parse_pol, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int)
-    group.add_argument("--target", type=parse_length,
-                       help="target wavelength; picks the first mode at or above it")
+    add_point(p)
     add_out(p)
     p.set_defaults(func=cmd_singularity)
 
@@ -266,13 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("fields", help="singular-mode Poynting/energy profile")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--L", type=parse_length, required=True)
-    p.add_argument("--pol", type=parse_pol, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int)
-    group.add_argument("--target", type=parse_length)
+    add_point(p)
     p.add_argument("--points", type=int, default=2001)
     add_out(p)
     p.set_defaults(func=cmd_fields)

@@ -99,16 +99,8 @@ class WaveSpec:
         return 2.0 * math.pi / self.k
 
     @property
-    def theta_rad(self) -> float:
-        return math.radians(self.theta_deg)
-
-    @property
-    def k_x(self) -> float:
-        return self.k * math.sin(self.theta_rad)
-
-    @property
     def k_z(self) -> float:
-        return self.k * math.cos(self.theta_rad)
+        return self.k * math.cos(math.radians(self.theta_deg))
 
 
 def u_parameter(medium: GainMedium, theta_deg: float,

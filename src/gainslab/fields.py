@@ -28,10 +28,9 @@ from .transfer import assemble_fields
 
 @dataclass(frozen=True)
 class SingularFieldContext:
-    """A solved singular point plus the free outgoing amplitude b0."""
+    """A solved singular point, with unit outgoing amplitude b0 = 1."""
 
     point: SingularityPoint
-    b0: complex = 1.0 + 0.0j
 
     @property
     def scenario(self) -> SlabScenario:
@@ -41,15 +40,15 @@ class SingularFieldContext:
     def poynting_out(self) -> float:
         """|<S>| outside the slab."""
         if self.point.polarization is Polarization.TE:
-            return abs(self.b0) ** 2 / (2.0 * Z_0)
-        return Z_0 * abs(self.b0) ** 2 / 2.0
+            return 1.0 / (2.0 * Z_0)
+        return Z_0 / 2.0
 
     @property
     def energy_out(self) -> float:
         """<u> outside the slab."""
         if self.point.polarization is Polarization.TE:
-            return EPSILON_0 * abs(self.b0) ** 2 / 2.0
-        return MU_0 * abs(self.b0) ** 2 / 2.0
+            return EPSILON_0 / 2.0
+        return MU_0 / 2.0
 
 
 def _envelopes(u: complex, s):
@@ -72,8 +71,8 @@ def _abs2(a):
 def singular_fields(ctx: SingularFieldContext, x, z):
     """Complex E and H three-vectors of the singular wave, shape (..., 3).
 
-    The profile pair is b0 (U_+, U_-)/u inside the slab and the outgoing
-    wave b0 e^{i k_z d} outside, d being the distance to the nearer face
+    The profile pair is (U_+, U_-)/u inside the slab and the outgoing
+    wave e^{i k_z d} outside, d being the distance to the nearer face
     (odd part negated on the left).
     """
     point, wave = ctx.point, ctx.point.wave
@@ -85,15 +84,14 @@ def singular_fields(ctx: SingularFieldContext, x, z):
     psi = np.empty(z.shape, dtype=complex)
     psi_odd = np.empty(z.shape, dtype=complex)
     plus, minus = _envelopes(u, z[inside] / L)
-    psi[inside] = ctx.b0 / u * plus
-    psi_odd[inside] = ctx.b0 / u * minus
+    psi[inside] = 1.0 / u * plus
+    psi_odd[inside] = 1.0 / u * minus
     z_out = z[outside]
     left = z_out < 0
     phase = wave.k_z * np.where(left, -z_out, z_out - L)
     out = np.empty(phase.shape, dtype=complex)   # e^{i k_z d} as cos + i sin
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
-    out = ctx.b0 * out
     psi[outside] = out
     psi_odd[outside] = np.where(left, -out, out)
     return assemble_fields(ctx.scenario, wave, psi, psi_odd, x, z)

@@ -128,26 +128,14 @@ def threshold_gain_at_kappa(eta: float, kappa: float, theta_deg: float,
         return -2.0 * float(_modulus_k(npr, r, thickness)) * kappa
 
 
-def _solve_kappa(index, k, angle, thickness: float,
-                 polarization: Polarization, seed) -> np.ndarray:
-    """q with h = L Im n' (K - k_mod) = 0 for the slab index index(q) and
-    K = k(n', r), elementwise over seed (which has the solve's full shape),
-    NaN where h has no sign change over KAPPA_RANGE.  h is nearly linear in
-    q.  Secant steps, from the seed and the range end across the root, stay
-    in a bracket (at first the range) that each evaluation narrows; a step
-    that is not finite, leaves it or follows one that did not lower |h|
-    becomes a geometric bisection.  The caller computes angle =
-    _angle_terms(theta) once; both range ends take one kernel call, and the
-    solve one np.errstate."""
-
-    def h(q):
-        npr, r = _modulus_kernel(*index(q), angle, polarization)
-        return thickness * npr.imag * (k(npr, r)
-                                       - _modulus_k(npr, r, thickness))
-
+def _bracketed_root(h, interval, seed) -> np.ndarray:
+    """x in interval = (a, b) with h(x) = 0, elementwise over seed (the
+    solve's full shape), NaN unless h(a) < 0 < h(b): secant steps in a bracket
+    (ends included) that each evaluation narrows; a step that is not finite,
+    leaves it or follows one that did not lower |h| bisects geometrically."""
     with np.errstate(all="ignore"):
-        a, b = KAPPA_RANGE                   # h(a) < 0 < h(b) where a root is
-        ha, hb = h(np.reshape(KAPPA_RANGE, (2,) + (1,) * np.ndim(seed)))
+        a, b = interval
+        ha, hb = h(np.reshape(interval, (2,) + (1,) * np.ndim(seed)))
         x = np.minimum(np.fmax(seed, a), b)  # NaN, -inf -> a; inf -> b
         x = np.where((ha < 0) & (hb > 0), x, np.nan)
         hx = h(x)
@@ -158,7 +146,8 @@ def _solve_kappa(index, k, angle, thickness: float,
             if not np.count_nonzero(~done):
                 break
             s = x - hx * (x - xp) / (hx - hp)
-            new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
+            new = np.where(stalled | ~((a <= s) & (s <= b)),
+                           np.copysign(np.sqrt(a * b), a), s)
             np.copyto(new, x, where=done)    # a finished entry stays put
             hn = h(new)
             np.copyto(a, new, where=hn < 0)
@@ -168,6 +157,18 @@ def _solve_kappa(index, k, angle, thickness: float,
                 np.abs(new - x) <= 1e-15 * np.abs(new))
             xp, hp, x, hx = x, hx, new, hn
     return np.where(done & ~np.isnan(hx), x, np.nan)
+
+
+def _solve_kappa(index, k, angle, thickness: float,
+                 polarization: Polarization, seed) -> np.ndarray:
+    """Root q in KAPPA_RANGE of L Im n' (k(n', r) - k_mod), nearly linear."""
+
+    def h(q):
+        npr, r = _modulus_kernel(*index(q), angle, polarization)
+        return thickness * npr.imag * (k(npr, r)
+                                       - _modulus_k(npr, r, thickness))
+
+    return _bracketed_root(h, KAPPA_RANGE, seed)
 
 
 def _threshold_kappa(eta: float, angle, thickness: float, k: float,
@@ -269,23 +270,32 @@ def critical_angle(eta: float, thickness: float,
                    target_wavelength: float) -> tuple[float, float]:
     """Angle maximizing the TM threshold gain, and the maximum gain (1/m).
 
-    The peak lies near arctan(eta), where the lossless TM ratio r vanishes;
-    41 angles span arctan(eta) +- 1 deg, then six narrower windows of 41
-    span +- 2 steps around the best (5e-8 deg steps at the end).  Raises
-    ConvergenceError if an angle fails or the first best is on the edge."""
+    dkappa/dtheta = -h_t/h_kappa for the modulus condition h = k L Im n'
+    - ln|r| (_t: d/dtheta), so g = -2 k kappa peaks at the threshold kappa
+    where h_t = k L Im(n'_t) - Re(2 (t n'_t - n' t_t)/(n'^2 - t^2)) = 0, with
+    t = n^2 cos, n'_t = -sin cos/n', t n'_t - n' t_t = n^2 (n^2-1) sin/n'.
+    -h_t |n'^2 - t^2|^2 / sin (no pole at r = 0) is solved over arctan(eta)
+    +- 1 deg.  Raises ConvergenceError if an angle fails or no root exists."""
     k = 2.0 * math.pi / target_wavelength
-    center, half = brewster_angle(eta), 1.0
-    for level in range(7):
-        grid = np.linspace(center - half, center + half, 41)
-        g = -2.0 * k * _threshold_kappa(eta, _angle_terms(grid), thickness,
-                                        k, Polarization.TM)
-        if np.isnan(g).any():     # the peak may be among the failed angles
-            raise ConvergenceError(_NO_SOLUTION.format(grid[np.isnan(g)][0]))
-        i = int(np.argmax(g))
-        if level == 0 and i in (0, grid.size - 1):
-            raise ConvergenceError("no interior TM gain maximum found")
-        center, half = grid[i], half / 10.0
-    return float(center), float(g[i])
+    kappa = None
+
+    def slope(theta):
+        nonlocal kappa
+        sin2, cos_t = angle = _angle_terms(theta)
+        kappa = _threshold_kappa(eta, angle, thickness, k, Polarization.TM)
+        for failed in theta[np.isnan(kappa) & ~np.isnan(theta)]:  # NaN: no bracket
+            raise ConvergenceError(_NO_SOLUTION.format(failed))
+        n2 = (eta + 1j * kappa) ** 2
+        inv_npr = 1.0 / np.sqrt(n2 - sin2)
+        den = n2 - sin2 - (n2 * cos_t) ** 2
+        return (2.0 * (n2 * (n2 - 1.0) * inv_npr * den.conj()).real
+                + k * thickness * cos_t * inv_npr.imag * np.abs(den) ** 2)
+
+    seed = np.array([brewster_angle(eta)])    # (1,), as in threshold_curve
+    theta = _bracketed_root(slope, (seed[0] - 1.0, seed[0] + 1.0), seed)[0]
+    if math.isnan(theta):
+        raise ConvergenceError("no interior TM gain maximum found")
+    return float(theta), -2.0 * k * float(kappa[0])
 
 
 def _select_mode(eta, theta_deg, angle, thickness, target_wavelength,

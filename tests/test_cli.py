@@ -226,6 +226,17 @@ class TestEdgeInputs:
          EXIT_VALIDATION, "--m-min and --m-max"),
         (["fields", "--eta", "3.4", *SLAB, "--target", "1500nm",
           "--points", "0"], EXIT_VALIDATION, "--points"),
+        # no mode solved once printed a bare header and exited 0; modes
+        # below 1 were reported as unconverged, an empty range as
+        # "m_values must be nonempty"
+        (["locus", "--pol", "TE", "--m-min", "1", "--m-max", "2"],
+         EXIT_SOLVER, "no mode 1..2 solved"),
+        (["locus", "--pol", "TE", "--m-min", "0", "--m-max", "1"],
+         EXIT_VALIDATION, "1 <= --m-min"),
+        (["locus", "--pol", "TE", "--m-min", "5", "--m-max", "2"],
+         EXIT_VALIDATION, "--m-min <= --m-max"),
+        (["locus", "--pol", "TE", "--m-span", "-4"],
+         EXIT_VALIDATION, "--m-span >= 0"),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, message):
         got, out, err = run(capsys, *argv)
@@ -309,7 +320,7 @@ GOLDEN = [
     pytest.param(
         "threshold --eta 3.4 --L 300um --wavelength 1500nm --theta-min 0 "
         "--theta-max 89.5 --steps 180",
-        "d0ef2a94b162f7f742c6329619017f4e08d3784a3ab123721df8b32e4d2d15ab",
+        "c796d0400302cf44ed36ffd845492dd2c335f36225197d7f62f45cf3d6395e3a",
         id="readme-threshold"),
     pytest.param(
         "singularity --eta 3.4 --theta 20 --L 400um --pol TE "

@@ -46,7 +46,6 @@ class TestTypes:
     def test_wavespec_geometry(self):
         w = WaveSpec.from_wavelength(1500e-9, 30.0, Polarization.TE)
         assert w.k == pytest.approx(2 * math.pi / 1500e-9)
-        assert w.k_x == pytest.approx(w.k * 0.5)
         assert w.k_z == pytest.approx(w.k * math.sqrt(3) / 2)
         assert w.wavelength == pytest.approx(1500e-9)
 

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gainslab import dispersion, solver
@@ -182,7 +182,8 @@ def reference_solve_kappa(index, k, theta_deg, thickness, polarization, seed):
             if done.all():
                 break
             s = x - hx * (x - xp) / (hx - hp)
-            new = np.where(stalled | ~((a < s) & (s < b)), -np.sqrt(a * b), s)
+            new = np.where(stalled | ~((a <= s) & (s <= b)), -np.sqrt(a * b),
+                           s)
             new = np.where(done, x, new)
             hn = h(new)
             a, b = np.where(hn < 0, new, a), np.where(hn > 0, new, b)
@@ -323,6 +324,28 @@ def mp_singular_root(eta, theta_deg, thickness, pol, m, lam0, kappa0):
         return float(x * lam0), float(y * kappa0)
 
 
+def mp_critical_angle(eta, thickness, wavelength, theta0, kappa0):
+    """(theta_c, g_max) solving h = 0 and dh/dtheta = 0 in (kappa, theta) for
+    the TM modulus condition h = k L Im n' - ln|r|, in 40-digit arithmetic
+    written from the equations (dh/dtheta by mpmath.diff); Newton from
+    (theta0, kappa0) in variables scaled by them."""
+    with mpmath.workdps(40):
+        k = 2 * mpmath.pi / mpmath.mpf(wavelength)
+
+        def h(y, x):
+            n = mpmath.mpc(eta, y * kappa0)
+            th = mpmath.radians(x * theta0)
+            npr = mpmath.sqrt(n * n - mpmath.sin(th) ** 2)
+            term = n * n * mpmath.cos(th)
+            r = (npr - term) / (npr + term)
+            return k * mpmath.mpf(thickness) * npr.imag - mpmath.log(abs(r))
+
+        y, x = mpmath.findroot(
+            [h, lambda y, x: mpmath.diff(lambda s: h(y, s), x)],
+            (mpmath.mpf(1), mpmath.mpf(1)))
+        return float(x * theta0), float(-2 * k * y * kappa0)
+
+
 class TestSingularOracle:
     @settings(max_examples=100, deadline=None)
     @given(eta=st.floats(2.0, 4.5), theta=st.floats(0.0, 85.0),
@@ -382,13 +405,38 @@ class TestAngles:
         with pytest.raises(ConvergenceError, match="no gain solution"):
             critical_angle(ETA, 9e-6, LAM)
 
+    def test_critical_angle_raises_without_interior_maximum(self,
+                                                             monkeypatch):
+        # a window 2-4 deg above arctan(eta) holds no root of dh/dtheta
+        brewster = solver.brewster_angle
+        monkeypatch.setattr(solver, "brewster_angle",
+                            lambda eta: brewster(eta) + 3.0)
+        with pytest.raises(ConvergenceError, match="no interior TM gain"):
+            critical_angle(ETA, 300e-6, LAM)
+
     def test_critical_angle_grid_stability(self):
-        # the refined maximum should not depend on the coarse scan start
+        # the gain at theta_c is above the gains 1e-3 deg to either side
         theta_c, g_max = critical_angle(ETA, L, LAM)
         assert threshold_gain_exact(
             ETA, theta_c + 1e-3, L, LAM, Polarization.TM)[1] < g_max
         assert threshold_gain_exact(
             ETA, theta_c - 1e-3, L, LAM, Polarization.TM)[1] < g_max
+
+    @settings(max_examples=30, deadline=None)
+    @given(eta=st.floats(1.2, 5.0),
+           log_thickness=st.floats(math.log(30e-6), math.log(3e-3)),
+           wavelength=st.floats(0.8e-6, 1.6e-6))
+    def test_critical_angle_matches_oracle(self, eta, log_thickness,
+                                           wavelength):
+        thickness = math.exp(log_thickness)
+        try:
+            theta_c, g_max = critical_angle(eta, thickness, wavelength)
+        except ConvergenceError:
+            assume(False)
+        theta, g = mp_critical_angle(eta, thickness, wavelength, theta_c,
+                                     -g_max * wavelength / (4 * math.pi))
+        assert abs(theta_c - theta) <= 1e-13
+        assert abs(g_max / g - 1) <= 1e-14
 
 
 def mode_wavelength(eta, kappa, theta, thickness, m, pol):
