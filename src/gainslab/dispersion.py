@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Polarization
 from .solver import (_angle_terms, _closed_form_gain, _modulus_kernel,
-                     _phase_k, _phase_wavelength, _residual, _solve_kappa)
+                     _residual, _solve_modes)
 
 LOCUS_RESIDUAL_TOL = 1e-10
 LOCUS_ROUNDS = 50          # cap on wavelength updates (8-22 for L 20um-2mm)
@@ -108,30 +108,22 @@ def trace_locus(medium: TwoLevelMedium, thickness: float, theta_deg: float,
     """Singular points of the given modes with the dispersive index.
 
     All modes start at their dispersion-free wavelengths 2 L eta'/m and are
-    solved together: at fixed wavelengths, mode m's kappa0 comes from the
-    labelled kappa solve of solve_singularity; the phase condition then moves
-    each mode to its exact wavelength, until no wavelength moves.  Modes with
-    m < 1, no solution, g0 <= 0 or a residual above LOCUS_RESIDUAL_TOL are
-    returned second; with g0_cap set, points above the cap are dropped.
+    solved together by _solve_modes, solve_singularity's mode solver, at the
+    index of each mode's wavelength, for up to LOCUS_ROUNDS rounds.  Modes
+    with m < 1, no solution, g0 <= 0 or a residual above LOCUS_RESIDUAL_TOL
+    are returned second; with g0_cap set, points above the cap are dropped.
     """
     m_values = list(m_values)
     if not m_values:
         raise ValueError("m_values must be nonempty")
     with np.errstate(all="ignore"):          # failed modes carry NaN
         m = np.where(np.array(m_values) >= 1, m_values, np.nan)
-        lam = 2.0 * thickness * math.sqrt(
-            medium.n0 ** 2 - math.sin(math.radians(theta_deg)) ** 2) / m
         angle = _angle_terms(theta_deg)
-        kappa0 = -_closed_form_gain(medium.n0, angle, thickness,
-                                    polarization) * lam / (4.0 * math.pi)
-        for _ in range(LOCUS_ROUNDS):
-            index = _index_map(medium, lam, full_model)
-            kappa0 = _solve_kappa(index, _phase_k(m, thickness), angle,
-                                  thickness, polarization, kappa0)
-            npr, r = _modulus_kernel(*index(kappa0), angle, polarization)
-            lam, last = _phase_wavelength(npr, r, m, thickness), lam
-            if not np.any(np.abs(lam - last) > 1e-15 * lam):   # NaN: failed
-                break
+        kappa0, lam, _, _ = _solve_modes(
+            lambda lam: _index_map(medium, lam, full_model), medium.n0, m,
+            angle, thickness, polarization,
+            _closed_form_gain(medium.n0, angle, thickness, polarization),
+            LOCUS_ROUNDS)
         npr, r = _modulus_kernel(*_index_map(medium, lam, full_model)(
             kappa0), angle, polarization)
         residual = np.abs(_residual(npr, r, 2.0 * math.pi / lam, thickness))

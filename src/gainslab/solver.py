@@ -197,6 +197,29 @@ def _residual(npr, r, k, thickness):
     return np.exp(-2j * (k * npr) * thickness) - r ** 2
 
 
+def _solve_modes(index_at, eta, m, angle, thickness: float,
+                 polarization: Polarization, gain, rounds: int = 1):
+    """kappa, wavelength, n' and r of modes m, elementwise: from lambda =
+    2 L eta'/m and the closed-form gain, each round solves mode m's modulus
+    condition for kappa at index map index_at(lambda) and moves lambda by the
+    phase condition, for `rounds` rounds or until no lambda moves."""
+    # the seed is NaN where sin(theta) > eta (the kappa solve then starts from
+    # its range end); a failed mode carries NaN, which never counts as moving;
+    # pi m - phi = 0 gives an infinite lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (2.0 * thickness * eta / m) * np.sqrt(1.0 - angle[0] / eta ** 2)
+        kappa = -gain * lam / (4.0 * np.pi)
+        for done in range(1, rounds + 1):
+            index = index_at(lam)
+            kappa = _solve_kappa(index, _phase_k(m, thickness), angle,
+                                 thickness, polarization, kappa)
+            npr, r = _modulus_kernel(*index(kappa), angle, polarization)
+            lam, last = _phase_wavelength(npr, r, m, thickness), lam
+            if done == rounds or not np.any(np.abs(lam - last) > 1e-15 * lam):
+                break
+    return kappa, lam, npr, r
+
+
 def threshold_gain_exact(eta: float, theta_deg: float, thickness: float,
                          target_wavelength: float,
                          polarization: Polarization) -> tuple[float, float]:
@@ -249,16 +272,6 @@ def threshold_gain_approx(eta: float, theta_deg: float, thickness: float,
                                    polarization))
 
 
-def _mode_wavelength(npr, r, m, thickness) -> float:
-    """Wavelength of the m-th singular mode from n' and r: the phase
-    condition's lambda = 2 pi L Re(n') / (pi m - phi), phi = arg r."""
-    with np.errstate(divide="ignore"):
-        lam = float(_phase_wavelength(npr, r, m, thickness))
-    if not 0 < lam < math.inf:
-        raise ValueError("invalid mode: pi*m - phi <= 0")
-    return lam
-
-
 def brewster_angle(eta: float) -> float:
     """arctan(eta), in degrees."""
     if eta <= 0:
@@ -298,21 +311,6 @@ def critical_angle(eta: float, thickness: float,
     return float(theta), -2.0 * k * float(kappa[0])
 
 
-def _select_mode(eta, theta_deg, angle, thickness, target_wavelength,
-                 polarization, gain) -> int:
-    """Largest m with lambda(m) >= target (lambda decreases with m): the phase
-    angle is taken at the threshold kappa of the target wavelength."""
-    k = 2.0 * math.pi / target_wavelength
-    kappa = float(_threshold_kappa(eta, angle, thickness, k, polarization,
-                                   gain))
-    if math.isnan(kappa):
-        raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
-    npr, r = _modulus_kernel(eta, kappa, angle, polarization)
-    x = (2.0 * math.pi * thickness * float(npr.real) / target_wavelength
-         + cmath.phase(complex(r))) / math.pi
-    return max(1, math.floor(x))
-
-
 def solve_singularity(eta: float, theta_deg: float, thickness: float,
                       polarization: Polarization,
                       m: int | None = None,
@@ -321,11 +319,11 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
     """Solve the full complex singularity condition for (wavelength, kappa).
 
     Either a mode number m or a target wavelength must be given; with a
-    target, the first singular wavelength at or above it is selected.  The
-    phase condition gives k in closed form, so kappa solves the modulus
-    condition alone, seeded by the closed-form gain; the wavelength follows
-    from the phase condition, and up to three Newton steps in it absorb the
-    rounding of k = 2 pi / wavelength in the complex residual.
+    target, the first singular wavelength at or above it is selected.  One
+    round of _solve_modes, the mode solver trace_locus shares, gives kappa
+    of the modulus condition at the closed-form k of the phase condition and
+    the wavelength that condition then fixes; up to three Newton steps in it
+    absorb the rounding of k = 2 pi / wavelength in the complex residual.
     """
     GainMedium(eta)                          # eta > 0, before any solve
     angle = _angle_terms(theta_deg)
@@ -333,20 +331,27 @@ def solve_singularity(eta: float, theta_deg: float, thickness: float,
     if m is None:
         if target_wavelength is None:
             raise ValueError("give either a mode number or a target wavelength")
-        m = _select_mode(eta, theta_deg, angle, thickness, target_wavelength,
-                         polarization, gain)
+        # largest m with lambda(m) >= target (lambda decreases with m): the
+        # phase angle is taken at the threshold kappa of the target wavelength
+        k = 2.0 * math.pi / target_wavelength
+        kappa = float(_threshold_kappa(eta, angle, thickness, k, polarization,
+                                       gain))
+        if math.isnan(kappa):
+            raise ConvergenceError(_NO_SOLUTION.format(theta_deg))
+        npr, r = _modulus_kernel(eta, kappa, angle, polarization)
+        m = max(1, math.floor((2.0 * math.pi * thickness * float(npr.real)
+                               / target_wavelength
+                               + cmath.phase(complex(r))) / math.pi))
     elif m < 1:
         raise ValueError("mode number must be >= 1")
-    lam = (2.0 * thickness * eta / m) * math.sqrt(     # 2 L eta' / m
-        1.0 - math.sin(math.radians(theta_deg)) ** 2 / eta ** 2)
-    kappa = float(_solve_kappa(lambda q: (eta, q), _phase_k(m, thickness),
-                               angle, thickness, polarization,
-                               -gain * lam / (4.0 * math.pi)))
+    # n' and r at the solved kappa serve the wavelength, slope and residuals
+    kappa, lam, npr, r = _solve_modes(lambda lam: lambda q: (eta, q), eta, m,
+                                      angle, thickness, polarization, gain)
+    kappa, lam = float(kappa), float(lam)
     if math.isnan(kappa):
         raise ConvergenceError(f"no gain solution for m = {m}")
-    # n' and r at the solved kappa serve the wavelength, slope and residuals
-    npr, r = _modulus_kernel(eta, kappa, angle, polarization)
-    lam = _mode_wavelength(npr, r, m, thickness)
+    if not 0 < lam < math.inf:
+        raise ValueError("invalid mode: pi*m - phi <= 0")
     slope = complex(4j * math.pi * thickness * npr * r * r) / lam ** 2  # dF/dlam
     res = complex(_residual(npr, r, 2.0 * math.pi / lam, thickness))
     for _ in range(3):          # Newton steps in real lam, kept while |F| falls

@@ -159,9 +159,10 @@ def _psi(coeffs: CoefficientSet, scenario: SlabScenario, wave: WaveSpec, z):
     z = np.asarray(z, dtype=float)
     inside = (z >= 0) & (z <= L)
     left = z < 0
-    # interior expressions are only evaluated where selected
-    e_in_p = np.where(inside, np.exp(1j * kt * z), 0.0)
-    e_in_m = np.where(inside, np.exp(-1j * kt * z), 0.0)
+    # interior waves at z = 0 outside the slab, where they are not selected
+    # and would overflow far out; asarray rounds a 0-d z as an array does
+    e_in_p = np.asarray(np.exp(1j * kt * np.where(inside, z, 0.0)))
+    e_in_m = np.asarray(np.exp(-1j * kt * np.where(inside, z, 0.0)))
     e_out_p = np.exp(1j * kz * z)
     e_out_m = np.exp(-1j * kz * z)
     a_out = np.where(left, coeffs.a0, coeffs.a2)

@@ -237,6 +237,11 @@ class TestEdgeInputs:
          EXIT_VALIDATION, "--m-min <= --m-max"),
         (["locus", "--pol", "TE", "--m-span", "-4"],
          EXIT_VALIDATION, "--m-span >= 0"),
+        # beyond sin(theta) = eta the wavelength seed of a given mode is NaN;
+        # it once raised "math domain error" (exit 2)
+        (["singularity", "--eta", "0.8", "--theta", "60", "--L", "400um",
+          "--pol", "TE", "--m", "100"], EXIT_SOLVER,
+         "no gain solution for m = 100"),
     ])
     def test_exit_code_and_message(self, capsys, argv, code, message):
         got, out, err = run(capsys, *argv)

@@ -252,23 +252,46 @@ class TestSolveKappaReference:
         assert np.array_equal(new, ref, equal_nan=True)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Modulus-kernel calls, counted wherever solver or dispersion make them."""
+    kernel, count = solver._modulus_kernel, []
+
+    def counting(*args):
+        count.append(1)
+        return kernel(*args)
+
+    for module in (solver, dispersion):
+        monkeypatch.setattr(module, "_modulus_kernel", counting)
+    return count
+
+
 class TestKernelBudget:
     @pytest.mark.parametrize("theta,pol,calls", [
         (20.0, Polarization.TE, 10), (20.0, Polarization.TM, 11),
         (80.0, Polarization.TE, 9), (80.0, Polarization.TM, 11)])
-    def test_kernel_calls_per_paper_point(self, monkeypatch, theta, pol,
+    def test_kernel_calls_per_paper_point(self, kernel_calls, theta, pol,
                                           calls):
         # exact counts: the two range ends share one call, and n' and r at
         # the solved kappa serve the wavelength, slope and Newton residuals
-        kernel, count = solver._modulus_kernel, []
-
-        def counting(*args):
-            count.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(solver, "_modulus_kernel", counting)
         solve_singularity(ETA, theta, L, pol, target_wavelength=LAM)
-        assert len(count) == calls
+        assert len(kernel_calls) == calls
+
+    @pytest.mark.parametrize("theta,pol,modes,full_model,calls", [
+        (30.0, Polarization.TE, (-50, 50), False, 53),
+        (30.0, Polarization.TE, (-50, 50), True, 54),
+        (73.0, Polarization.TM, (-5, 6), False, 91),
+        (73.0, Polarization.TM, (-5, 6), True, 96)])
+    def test_kernel_calls_per_locus(self, kernel_calls, theta, pol, modes,
+                                    full_model, calls):
+        # exact counts for the criterion-12 loci: one more wavelength round
+        # would add several
+        medium = TwoLevelMedium(ETA, LAM, 0.02)
+        m0 = dispersion.central_mode_number(medium, 300e-6, theta)
+        dispersion.trace_locus(medium, 300e-6, theta, pol,
+                               range(m0 + modes[0], m0 + modes[1]),
+                               full_model=full_model)
+        assert len(kernel_calls) == calls
 
 
 def mp_modulus_residual(eta, kappa, theta_deg, thickness, wavelength, pol):
@@ -441,8 +464,8 @@ class TestAngles:
 
 def mode_wavelength(eta, kappa, theta, thickness, m, pol):
     """The solver's phase-condition wavelength of mode m at a given kappa."""
-    return solver._mode_wavelength(*solver._modulus_kernel(
-        eta, kappa, solver._angle_terms(theta), pol), m, thickness)
+    return float(solver._phase_wavelength(*solver._modulus_kernel(
+        eta, kappa, solver._angle_terms(theta), pol), m, thickness))
 
 
 def first_order_wavelength(eta, kappa, theta_deg, thickness, m, pol):
@@ -464,9 +487,8 @@ def first_order_wavelength(eta, kappa, theta_deg, thickness, m, pol):
 class TestSSWavelength:
     def test_rejects_bad_mode(self):
         # at normal incidence the TM ratio r is nearly real negative (phi
-        # near pi), so mode 0 has pi m - phi < 0
-        with pytest.raises(ValueError, match="invalid mode"):
-            mode_wavelength(ETA, -1e-4, 0.0, L, 0, Polarization.TM)
+        # near pi), so mode 0 has pi m - phi < 0: no positive wavelength
+        assert mode_wavelength(ETA, -1e-4, 0.0, L, 0, Polarization.TM) < 0
 
     def test_lossless_normal_incidence(self):
         # with kappa = 0 and theta = 0 the TE ratio r is real positive, so

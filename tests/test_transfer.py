@@ -303,6 +303,21 @@ class TestGeneralFields:
         for i in range(3):
             assert np.max(np.abs(cross[..., i] - expected[i])) <= 1e-15 * scale
 
+    @pytest.mark.parametrize("pol", list(Polarization))
+    def test_far_outside_does_not_overflow(self, pol):
+        # outside the slab only the vacuum waves are selected; the interior
+        # waves, growing as exp(|Im k~| |z|), overflow if taken at z = +-0.2 m
+        L = 300e-6
+        sc, w = make(3.4, -1e-3, 30.0, 2 * math.pi * L / 1.5e-6, pol, L=L)
+        c = propagate_coefficients(sc, w, a0=1.0)
+        z = np.array([-0.2, 0.2])
+        with np.errstate(over="raise", invalid="raise"):
+            E, H = general_fields(sc, w, c, 0.0, z)
+        a_out, b_out = np.array([c.a0, c.a2]), np.array([c.b0, c.b2])
+        psi = a_out * np.exp(1j * w.k_z * z) + b_out * np.exp(-1j * w.k_z * z)
+        transverse = E[..., 1] if pol is Polarization.TE else H[..., 1]
+        assert np.array_equal(transverse, psi)
+
     def test_tm_ez_jump_is_inverse_n_squared(self):
         c = propagate_coefficients(self.sc_tm, self.w_tm, a0=1.0)
         eps = 1e-12 * self.sc.thickness
